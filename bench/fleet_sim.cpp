@@ -1,14 +1,14 @@
 // Multi-gateway fleet simulation driver: E serving endpoints (gateways)
-// over a sliced generated catalog, one shared sharded simulator, millions
+// over a sliced generated catalog, one shared simulator, millions
 // of requests end-to-end. Default load: --catalog=gen:256 --endpoints=64
 // with a ~1.2M-request Poisson trace routed across the gateways by the
 // deterministic splitmix64 router.
 //
 // All exports (--trace-out / --metrics-out / --decisions-out / --rollup-out
-// / --alerts-out / --report-out) are byte-identical across --threads and
-// --shards; the wall-clock summary goes to stdout only. CI runs the small
-// smoke (--catalog=gen:16 --endpoints=4) and byte-compares the sharded
-// exports against the serial run.
+// / --alerts-out / --report-out) are byte-identical across --threads; the
+// wall-clock summary goes to stdout only. CI runs the small smoke
+// (--catalog=gen:16 --endpoints=4) and byte-compares the pooled exports
+// against the serial run.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -119,13 +119,13 @@ int main(int argc, char** argv) {
       "Fleet simulation: multi-gateway serving over a sliced catalog",
       "SLO-compliant serving holds up at fleet scale — E independent "
       "gateways over slices of one heterogeneous catalog, one shared "
-      "sharded simulator.");
+      "simulator.");
   std::printf("Catalog:   %s (%zu nodes: %d GPU, %zu CPU)\n",
               options.catalog.c_str(), catalog.size(), gpus,
               catalog.size() - static_cast<std::size_t>(gpus));
-  std::printf("Fleet:     %d endpoints, scheme %s, shards=%d threads=%d\n",
+  std::printf("Fleet:     %d endpoints, scheme %s, threads=%d\n",
               options.endpoints, exp::scheme_name(flags.scheme).c_str(),
-              options.shards, options.threads);
+              options.threads);
   std::printf("Workload:  %llu arrivals over %.0f s (Poisson, seed %llu)\n\n",
               static_cast<unsigned long long>(
                   scenario.workloads[0].trace.total_requests()),
@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
           .count();
 
   // Stream endpoint rows then the fleet row — deterministic order, so the
-  // metrics file byte-compares across --threads and --shards.
+  // metrics file byte-compares across --threads.
   for (const auto& endpoint : result.per_endpoint) {
     observer.record(endpoint.combined);
   }

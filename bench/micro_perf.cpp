@@ -170,81 +170,14 @@ void BM_SimulatorPeriodicTick(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorPeriodicTick);
 
-void sharded_drain(benchmark::State& state, int shards) {
-  // Steady-state event drain with a large resident timer population — the
-  // shape of a full cluster run, where every node keeps completion and
-  // container timers armed at all times. With one shard the drain is a
-  // pop-per-event loop over one ~6 MB heap plus a ~21 MB slot slab whose
-  // sift paths and callback moves fall out of L2; sharded, each worker
-  // shard's heap and slab stay cache-resident and the epoch drain extracts
-  // whole lookahead windows with one linear partition pass. Same single
-  // core, same event order, same fired count.
-  sim::ShardOptions options;
-  options.shards = shards;
-  options.lookahead_ms = 200.0;
-  sim::Simulator simulator(options);
-  std::uint64_t fired = 0;
-  constexpr int kTimers = 1 << 18;
-  // Self-rescheduling one-shot timers: the capture fits in the inline
-  // callback storage, so all per-event state lives in the shard's own slab
-  // and heap — the drain itself is what gets measured.
-  struct Timer {
-    sim::Simulator* simulator;
-    std::uint64_t* fired;
-    double period;
-    int shard;
-    void operator()() const {
-      ++*fired;
-      simulator->schedule_in(period, *this, shard);
-    }
-  };
-  for (int i = 0; i < kTimers; ++i) {
-    const double period = 10.0 + static_cast<double>((i * 97) % 200);
-    const double start = static_cast<double>((i * 131) % 100);
-    const int shard = simulator.shard_of(i);
-    simulator.schedule_at(start, Timer{&simulator, &fired, period, shard},
-                          shard);
-  }
-  double horizon = 0.0;
-  for (auto _ : state) {
-    horizon += 100.0;
-    simulator.run_until(horizon);
-  }
-  benchmark::DoNotOptimize(fired);
-  state.SetItemsProcessed(static_cast<std::int64_t>(fired));
-  state.SetLabel(shards == 1 ? "serial reference" : "sharded epoch drain");
-}
-
-void BM_ShardedDrain(benchmark::State& state) { sharded_drain(state, 8); }
-BENCHMARK(BM_ShardedDrain);
-
-void BM_ShardedDrainSerial(benchmark::State& state) {
-  // The --shards=1 reference for BM_ShardedDrain. A run of this benchmark
-  // (renamed to BM_ShardedDrain) is recorded in
-  // bench/sharded_drain_baseline_pre.json so perf_baseline.py can enforce
-  // the sharded drain's speedup floor without rebuilding the old tree.
-  sharded_drain(state, 1);
-}
-BENCHMARK(BM_ShardedDrainSerial);
-
-void fleet_tick(benchmark::State& state, int shards) {
+void BM_FleetTick(benchmark::State& state) {
   // 100 ms steps of a full fleet under steady drain load: 16 endpoints over
   // a gen:64 catalog, each an independent serving loop (gateway + policy +
   // autoscaler + trackers) serving a light Poisson stream, plus a 256K
   // armed-timer population — every node of every slice keeping completion
-  // and container timers armed at all times, the BM_ShardedDrain shape but
-  // owned per endpoint and pinned to the endpoint's shard. Shard-affine,
-  // each endpoint's heap and slot slab stay cache-resident, the epoch drain
-  // extracts whole lookahead windows with streaming sorts + a tournament
-  // merge, and extraction fans out across the pool on multicore hosts;
-  // naive single-shard, the whole fleet's events churn one large heap one
-  // sift at a time. Same event order, same exports either way.
-  static ThreadPool extract_pool(0);  // hardware_concurrency workers
-  sim::ShardOptions options;
-  options.shards = shards;
-  options.lookahead_ms = 200.0;
-  options.pool = shards > 1 ? &extract_pool : nullptr;
-  sim::Simulator simulator(options);
+  // and container timers armed at all times. The whole fleet's events churn
+  // the simulator's one heap, so this is the drain cost of a large run.
+  sim::Simulator simulator;
   const auto& zoo = models::Zoo::instance();
   static const hw::Catalog catalog =
       hw::generate_catalog({.node_count = 64, .seed = 7});
@@ -268,25 +201,24 @@ void fleet_tick(benchmark::State& state, int shards) {
   }
   std::uint64_t fired = 0;
   constexpr int kTimersPerEndpoint = 1 << 14;
+  // Self-rescheduling one-shot timers: the capture fits in the inline
+  // callback storage, so all per-event state lives in the queue's slab.
   struct Timer {
     sim::Simulator* simulator;
     std::uint64_t* fired;
     double period;
-    int shard;
     void operator()() const {
       ++*fired;
-      simulator->schedule_in(period, *this, shard);
+      simulator->schedule_in(period, *this);
     }
   };
   for (int e = 0; e < fleet.endpoint_count(); ++e) {
-    const int shard = fleet.shard_of_endpoint(e);
     for (int i = 0; i < kTimersPerEndpoint; ++i) {
-      // Offset by endpoint so firings decorrelate across shards — a real
-      // fleet's endpoints are not phase-locked.
+      // Offset by endpoint so firings decorrelate — a real fleet's
+      // endpoints are not phase-locked.
       const double period = 10.0 + static_cast<double>((i * 97 + e * 13) % 200);
       const double start = static_cast<double>((i * 131 + e * 31) % 100);
-      simulator.schedule_at(start, Timer{&simulator, &fired, period, shard},
-                            shard);
+      simulator.schedule_at(start, Timer{&simulator, &fired, period});
     }
   }
   double horizon = 0.0;
@@ -297,24 +229,11 @@ void fleet_tick(benchmark::State& state, int shards) {
   benchmark::DoNotOptimize(fired);
   state.SetItemsProcessed(
       static_cast<std::int64_t>(simulator.events_processed()));
-  state.SetLabel(shards == 1 ? "naive single-shard fleet"
-                             : "shard-affine fleet");
   // The run stops mid-trace: drop the pending events while the fleet (and
   // the frameworks' request arenas) is still alive.
   simulator.reset();
 }
-
-void BM_FleetTick(benchmark::State& state) { fleet_tick(state, 8); }
 BENCHMARK(BM_FleetTick)->Iterations(50);
-
-void BM_FleetTickSingleShard(benchmark::State& state) {
-  // The --shards=1 reference for BM_FleetTick: the whole fleet's events in
-  // one heap. A run of this benchmark (renamed to BM_FleetTick) is recorded
-  // in bench/fleet_sim_baseline_pre.json so perf_baseline.py can enforce
-  // the shard-affine fleet's speedup floor without rebuilding the old tree.
-  fleet_tick(state, 1);
-}
-BENCHMARK(BM_FleetTickSingleShard)->Iterations(50);
 
 void BM_FleetRoute(benchmark::State& state) {
   // Per-arrival cost of the fleet request router: one splitmix64 finalizer

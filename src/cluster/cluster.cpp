@@ -18,12 +18,6 @@ Cluster::Cluster(sim::Simulator& simulator, Rng rng, const models::Zoo& zoo,
                                             hw::NodeType(static_cast<int>(i)),
                                             rng.fork(catalog.spec(hw::NodeType(i)).instance),
                                             zoo, catalog, config.node));
-    // Node-local events (device completions, cold-start timers) round-robin
-    // over the worker shards; control-plane events stay on shard 0. A fleet
-    // endpoint pins all of its nodes to the endpoint's shard instead.
-    nodes_.back()->set_shard(config.shard >= 0
-                                 ? config.shard
-                                 : simulator.shard_of(static_cast<int>(i)));
   }
 }
 
@@ -42,19 +36,16 @@ void Cluster::acquire(hw::NodeType type, std::function<void(Node&)> on_ready) {
   if (on_ready) holding.waiters.push_back(std::move(on_ready));
   if (holding.procuring) return;
   holding.procuring = true;
-  provisioner_.procure(
-      type,
-      [this](hw::NodeType ready_type) {
-        auto& h = holdings_[static_cast<std::size_t>(ready_type)];
-        h.procuring = false;
-        if (h.held) return;  // raced with another path; already held
-        h.held = true;
-        h.held_since_ms = simulator_->now();
-        auto waiters = std::move(h.waiters);
-        h.waiters.clear();
-        for (auto& waiter : waiters) waiter(node(ready_type));
-      },
-      node(type).shard());
+  provisioner_.procure(type, [this](hw::NodeType ready_type) {
+    auto& h = holdings_[static_cast<std::size_t>(ready_type)];
+    h.procuring = false;
+    if (h.held) return;  // raced with another path; already held
+    h.held = true;
+    h.held_since_ms = simulator_->now();
+    auto waiters = std::move(h.waiters);
+    h.waiters.clear();
+    for (auto& waiter : waiters) waiter(node(ready_type));
+  });
 }
 
 void Cluster::acquire_immediately(hw::NodeType type) {

@@ -32,8 +32,8 @@ void CpuExecutor::start_next() {
   running_ = std::move(running);
   busy_since_ms_ = simulator_->now();
 
-  completion_event_ = simulator_->schedule_in(
-      running_->work_ms, [this] { complete_running(); }, shard_);
+  completion_event_ =
+      simulator_->schedule_in(running_->work_ms, [this] { complete_running(); });
 }
 
 void CpuExecutor::complete_running() {

@@ -37,9 +37,6 @@ class CpuExecutor {
   int queued_jobs() const { return static_cast<int>(queue_.size()); }
   DurationMs busy_time_ms() const;
 
-  /// Event shard completion events land on; set by the owning Node.
-  void set_shard(int shard) { shard_ = shard; }
-
  private:
   struct Running {
     CpuJob job;
@@ -60,7 +57,6 @@ class CpuExecutor {
   std::deque<std::pair<CpuJob, TimeMs>> queue_;  // (job, submit time)
   std::unique_ptr<Running> running_;
   sim::EventHandle completion_event_;
-  int shard_ = 0;
 
   DurationMs busy_time_ms_ = 0.0;
   TimeMs busy_since_ms_ = 0.0;

@@ -90,8 +90,8 @@ void GpuDevice::reschedule_completion() {
   }
   if (!std::isfinite(earliest)) return;
   earliest = std::max(earliest, 0.0);
-  completion_event_ = simulator_->schedule_in(
-      earliest, [this] { on_completion_event(); }, shard_);
+  completion_event_ =
+      simulator_->schedule_in(earliest, [this] { on_completion_event(); });
 }
 
 void GpuDevice::on_completion_event() {

@@ -72,17 +72,14 @@ ContainerId Node::spawn_container(models::ModelId model, bool prewarmed) {
   container.ready_ms = simulator_->now() + cold;
   containers_.emplace(id, container);
   ++cold_starts_;
-  simulator_->schedule_at(
-      container.ready_ms,
-      [this, id] {
-        auto it = containers_.find(id);
-        if (it == containers_.end()) return;  // terminated or node failed
-        if (it->second.state == ContainerState::kColdStarting) {
-          it->second.state = ContainerState::kWarm;
-        }
-        on_container_ready();
-      },
-      shard_);
+  simulator_->schedule_at(container.ready_ms, [this, id] {
+    auto it = containers_.find(id);
+    if (it == containers_.end()) return;  // terminated or node failed
+    if (it->second.state == ContainerState::kColdStarting) {
+      it->second.state = ContainerState::kWarm;
+    }
+    on_container_ready();
+  });
   return id;
 }
 
@@ -252,12 +249,6 @@ DurationMs Node::device_busy_time_ms() const {
 
 double Node::current_fbr_sum() const {
   return gpu_device_ ? gpu_device_->current_fbr_sum() : 0.0;
-}
-
-void Node::set_shard(int shard) {
-  shard_ = shard;
-  if (gpu_device_) gpu_device_->set_shard(shard);
-  if (cpu_executor_) cpu_executor_->set_shard(shard);
 }
 
 void Node::set_host_interference(double cpu_factor, double gpu_factor) {

@@ -47,20 +47,12 @@ Fleet::Fleet(sim::Simulator& simulator, Rng rng, const models::Zoo& zoo,
     : simulator_(&simulator), config_(config) {
   assert(config.endpoints >= 1);
   assert(make_policy != nullptr);
-  if (config_.framework.lookahead_ms <= 0.0) {
-    // Fleet-scale epoch window: one epoch extracts a whole window of every
-    // endpoint's timer population instead of rescanning the resident heaps
-    // once per 20 ms dispatch tick. Purely a batching knob — stamps are
-    // global, so exports are byte-identical at any value.
-    config_.framework.lookahead_ms = kFleetLookaheadMs;
-  }
   const auto slices = slice_catalog(global_catalog, config.endpoints);
   endpoints_.reserve(static_cast<std::size_t>(config.endpoints));
   obs::Profiler* sim_profiler = nullptr;
   for (int e = 0; e < config.endpoints; ++e) {
     Endpoint endpoint;
     endpoint.id = e;
-    endpoint.shard = simulator.shard_of(e);
     endpoint.global_nodes = slices[static_cast<std::size_t>(e)];
     assert(!endpoint.global_nodes.empty() && "more endpoints than nodes");
 
@@ -72,15 +64,12 @@ Fleet::Fleet(sim::Simulator& simulator, Rng rng, const models::Zoo& zoo,
     endpoint.catalog = std::make_unique<hw::Catalog>(std::move(specs));
     endpoint.profile = std::make_unique<models::ProfileTable>(*endpoint.catalog);
 
-    cluster::ClusterConfig cluster_config = config_.cluster;
-    cluster_config.shard = endpoint.shard;
     endpoint.cluster = std::make_unique<cluster::Cluster>(
         simulator, rng.fork("fleet-cluster-" + std::to_string(e)), zoo,
-        *endpoint.catalog, cluster_config);
+        *endpoint.catalog, config_.cluster);
 
     FrameworkConfig framework_config = config_.framework;
     framework_config.endpoint_id = e;
-    framework_config.shard = endpoint.shard;
     if (!framework_config.initial_node.has_value()) {
       // Cheapest node of the slice; the dealing order guarantees a CPU
       // node while the catalog has one per endpoint.

@@ -1,13 +1,13 @@
 // End-to-end multi-gateway fleet experiment: a core::Fleet (E endpoints over
-// a sliced catalog, one shared sharded simulator) driven by a Scenario's
+// a sliced catalog, one shared simulator) driven by a Scenario's
 // workloads, with the full per-endpoint observability stack and the same
 // RunMetrics extraction as the per-scheme Runner.
 //
 // The obs::RunTrace slots are reused with one slot per *endpoint* (instead
 // of per repetition): tracer/rollup/profiler/health slot e observes endpoint
 // e, and the existing exporters walk the slots in endpoint order — so fleet
-// exports are byte-identical across --threads and --shards exactly like
-// per-rep exports.
+// exports are byte-identical across --threads exactly like per-rep
+// exports.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +37,9 @@ struct FleetSimResult {
 class FleetSim {
  public:
   /// `catalog` is the global fleet catalog (typically generated,
-  /// hw::parse_catalog_spec). The pool parallelizes per-shard event
-  /// extraction; exports are identical with or without it.
+  /// hw::parse_catalog_spec). The pool feeds each endpoint's scheme
+  /// (Algorithm 1's parallel sweeps); exports are identical with or
+  /// without it.
   FleetSim(const models::Zoo& zoo, const hw::Catalog& catalog,
            ThreadPool* pool = nullptr, SchemeFactoryOptions options = {});
 

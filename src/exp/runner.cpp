@@ -1,6 +1,7 @@
 #include "src/exp/runner.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "src/baselines/oracle.hpp"
 #include "src/exp/summary.hpp"
@@ -24,14 +25,28 @@ RunResult Runner::run_once(const Scenario& scenario, SchemeId scheme,
                            obs::Tracer* tracer, obs::RollupAggregator* rollup,
                            obs::Profiler* profiler,
                            obs::HealthEngine* health) const {
-  sim::ShardOptions shard_options;
-  shard_options.shards = factory_.options().shards;
-  // The task-group executor is nestable, so per-shard extraction may run
-  // inside a rep-level parallel_for worker. Exports are identical with or
-  // without the pool — the sharded drain is deterministic by design.
-  shard_options.pool = pool_;
-  sim::Simulator simulator(shard_options);
+  sim::Simulator simulator;
   Rng rng(seed);
+
+  // Violation attribution runs on every repetition (it feeds the per-cause
+  // RunMetrics); calibration needs the tracer's decision sweeps, but the
+  // tracker itself is harmless without them.
+  obs::AttributionEngine attribution(*zoo_);
+  obs::CalibrationTracker::Config calibration_config;
+  if (!scenario.workloads.empty()) {
+    calibration_config.slo_ms = kTimeNever;
+    for (const auto& workload : scenario.workloads) {
+      calibration_config.slo_ms = std::min(calibration_config.slo_ms,
+                                           zoo_->spec(workload.model).slo_ms);
+    }
+  }
+  obs::CalibrationTracker calibration(calibration_config);
+
+  // Declared before the cluster so it is destroyed after it (the rule
+  // core::Fleet::Endpoint follows): a run that ends at the drain cap leaves
+  // GPU batches in flight, and ~Cluster releases their request blocks into
+  // the framework's arena.
+  std::unique_ptr<core::Framework> framework;
   cluster::Cluster cluster(simulator, rng.fork("cluster"), *zoo_, *catalog_);
 
   auto policy = factory_.make(scheme);
@@ -50,33 +65,19 @@ RunResult Runner::run_once(const Scenario& scenario, SchemeId scheme,
   config.rollup = rollup;
   config.profiler = profiler;
   config.health = health;
-
-  // Violation attribution runs on every repetition (it feeds the per-cause
-  // RunMetrics); calibration needs the tracer's decision sweeps, but the
-  // tracker itself is harmless without them.
-  obs::AttributionEngine attribution(*zoo_);
-  obs::CalibrationTracker::Config calibration_config;
-  if (!scenario.workloads.empty()) {
-    calibration_config.slo_ms = kTimeNever;
-    for (const auto& workload : scenario.workloads) {
-      calibration_config.slo_ms = std::min(calibration_config.slo_ms,
-                                           zoo_->spec(workload.model).slo_ms);
-    }
-  }
-  obs::CalibrationTracker calibration(calibration_config);
   config.attribution = &attribution;
   config.calibration = &calibration;
-  core::Framework framework(simulator, cluster, std::move(policy),
-                            rng.fork("framework"), *zoo_, config);
+  framework = std::make_unique<core::Framework>(
+      simulator, cluster, std::move(policy), rng.fork("framework"), *zoo_, config);
   for (const auto& workload : scenario.workloads) {
-    framework.add_workload(workload.model, workload.trace);
+    framework->add_workload(workload.model, workload.trace);
   }
-  if (scenario.failures) framework.enable_failures(*scenario.failures);
+  if (scenario.failures) framework->enable_failures(*scenario.failures);
   if (!scenario.coresidents.empty()) {
-    framework.enable_host_interference(scenario.coresidents);
+    framework->enable_host_interference(scenario.coresidents);
   }
 
-  framework.run();
+  framework->run();
 
   ExtractOptions extract;
   extract.scheme = scheme_name(scheme);
@@ -88,7 +89,7 @@ RunResult Runner::run_once(const Scenario& scenario, SchemeId scheme,
   for (const auto& workload : scenario.workloads) {
     workload_models.push_back(workload.model);
   }
-  return extract_run_metrics(framework, cluster, workload_models, &calibration,
+  return extract_run_metrics(*framework, cluster, workload_models, &calibration,
                              extract);
 }
 

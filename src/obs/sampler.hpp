@@ -7,8 +7,8 @@
 //
 // The keep/drop decision is a pure function of (request id, seed) — never
 // wall clock, thread id, or arrival order — so the sampled trace is
-// byte-identical across --threads and --shards, exactly like the unsampled
-// exports. Exact request counts are preserved out-of-band: the Tracer tallies
+// byte-identical across --threads, exactly like the unsampled exports.
+// Exact request counts are preserved out-of-band: the Tracer tallies
 // every sampled-out completion per (model, node) and flushes the tallies into
 // its counter registry as "sampled_out:<model>:<node>", which the report
 // analyzer adds back so attribution/compliance/calibration stay exact while

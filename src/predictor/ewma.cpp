@@ -12,9 +12,11 @@ void EwmaPredictor::observe(TimeMs now, Rps rate) {
     last_observe_ms_ = now;
     return;
   }
-  // Sharded delivery can replay or reorder monitor samples; a stale tick
-  // (now <= last observation) must not move the level and would make the
-  // trend denominator non-positive, so it is dropped outright.
+  // The serial monitor tick observes in strictly increasing time, but the
+  // predictor is a public type: a caller that observes twice at one
+  // timestamp or hands in a late sample would make the trend denominator
+  // non-positive, so a stale sample (now <= last observation) is dropped
+  // outright and never moves the level.
   if (now <= last_observe_ms_) return;
   const double previous_level = level_;
   level_ = alpha_ * rate + (1.0 - alpha_) * level_;

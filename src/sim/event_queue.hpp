@@ -14,18 +14,6 @@
 // cancelling the slot's new occupant. This replaces the previous
 // shared_ptr<bool> cancel flag + std::function entry, which cost two heap
 // allocations per scheduled event.
-//
-// Sharded-drain support: the sharded Simulator owns one queue per shard and
-// assigns sequence numbers globally, so it drives the queue through a
-// lower-level API than schedule()/pop():
-//   * stage()/commit() split scheduling into slot creation (which returns
-//     the POD entry a mailbox can carry) and heap insertion (which the
-//     barrier performs after sorting the mailbox);
-//   * extract_until() batch-removes every live entry inside the epoch
-//     window — slots stay alive, so handles can still cancel an extracted
-//     event right up to the moment it fires;
-//   * ready()/fire() replay an extracted entry with exactly pop()'s
-//     generation/tombstone semantics.
 #pragma once
 
 #include <cstddef>
@@ -73,80 +61,9 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// What the heap orders: plain data, cheap to sift and to carry through a
-  /// cross-shard mailbox. The generation lets items from recycled slots be
-  /// recognized as dead.
-  struct Entry {
-    TimeMs time;
-    std::uint64_t sequence;
-    std::uint32_t index;
-    std::uint32_t generation;
-  };
-
   /// Schedule fn at absolute simulated time t. t must be >= now() of the
   /// owning simulator (checked there, not here).
   EventHandle schedule(TimeMs t, EventFn fn);
-
-  /// Create a live pending entry without inserting it into the heap. The
-  /// sharded Simulator stamps `sequence` from its global counter so the
-  /// (time, sequence) order is total across shards; commit() inserts the
-  /// entry later (at the epoch barrier for mailbox messages). A staged
-  /// entry counts as live immediately — handle_for() can cancel it before
-  /// it is ever committed.
-  Entry stage(TimeMs t, std::uint64_t sequence, EventFn fn);
-
-  /// Insert a staged entry into the heap.
-  void commit(const Entry& entry);
-
-  /// Handle addressing a staged entry (same cancel semantics as schedule).
-  EventHandle handle_for(const Entry& entry) {
-    return EventHandle(this, entry.index, entry.generation);
-  }
-
-  /// An entry tagged with the shard whose queue owns it — the unit the
-  /// sharded Simulator's merged epoch run, insert calendar and mailbox all
-  /// carry, so entries from different queues can interleave in one array.
-  struct Tagged {
-    Entry entry;
-    std::uint32_t shard;
-  };
-
-  /// Batch-remove every live entry with time <= t, appending them to `out`
-  /// tagged with `shard` and sorted by (time, sequence). Dead entries
-  /// inside the window are collected. Extracted slots stay alive (their
-  /// state moves to kExtracted) so outstanding handles can still cancel
-  /// them until ready()/fire() replays them; the live counter treats them
-  /// as gone — they now belong to the epoch, not the queue. Dense windows
-  /// switch from per-item pops to a linear partition + one re-heapify,
-  /// which is what makes the sharded drain cheaper than the serial pop loop
-  /// even before any parallelism.
-  void extract_until(TimeMs t, std::uint32_t shard, std::vector<Tagged>& out);
-
-  /// True when the extracted/staged entry is still live; collects the slot
-  /// of a dead entry (cancelled while it sat in the epoch run). Call
-  /// immediately before fire().
-  bool ready(const Entry& entry);
-
-  /// Replay an extracted/staged entry: releases the slot and runs the
-  /// callback (same order as pop(): the slot is recycled before the
-  /// callback executes). Precondition: ready(entry) just returned true.
-  void fire(const Entry& entry);
-
-  /// ready() + fire() fused into one slot lookup, minus the call itself:
-  /// claims the extracted/staged entry's callback and releases the slot, or
-  /// returns an empty function (collecting the slot) when the entry died in
-  /// the epoch run. The sharded drain calls this once per event, so the
-  /// second slab access ready()/fire() would pay is gone; the caller runs
-  /// the callback after stamping its own clock.
-  EventFn take(const Entry& entry);
-
-  /// Hint the cache that `entry`'s slot is about to be touched. The merged
-  /// epoch run tells the sharded drain which slots fire next — lookahead a
-  /// heap can never give the serial pop loop — so prefetching a few entries
-  /// ahead hides the random slab access that otherwise dominates take().
-  void prefetch(const Entry& entry) const {
-    __builtin_prefetch(&slots_[entry.index]);
-  }
 
   /// True when no live (non-cancelled) event remains. O(1): tracked by a
   /// live-entry counter, so no lazy cleanup (and no `mutable`) is needed.
@@ -177,13 +94,19 @@ class EventQueue {
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
+  /// What the heap orders: plain data, cheap to sift. The generation lets
+  /// items from recycled slots be recognized as dead.
+  struct Entry {
+    TimeMs time;
+    std::uint64_t sequence;
+    std::uint32_t index;
+    std::uint32_t generation;
+  };
+
   enum class SlotState : unsigned char {
     kFree,
     kPending,
     kCancelled,
-    /// Removed from the heap by extract_until but not yet fired; the live
-    /// counter no longer includes it, yet cancel() still works on it.
-    kExtracted,
   };
 
   struct Slot {
@@ -214,7 +137,7 @@ class EventQueue {
   /// Pop the heap's top item and return it (plain data, no ownership).
   Entry take_top();
 
-  /// Collect one dead heap/mailbox entry: recycle the slot when the item is
+  /// Collect one dead heap entry: recycle the slot when the item is
   /// not a stale tombstone of an already-recycled slot.
   void collect_dead(const Entry& entry);
 

@@ -1,68 +1,18 @@
 #include "src/sim/simulator.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 #include "src/obs/profiler.hpp"
 
 namespace paldia::sim {
 
-void Simulator::InsertCalendar::begin(TimeMs start, TimeMs end) {
-  assert(size_ == 0);
-  heap_.clear();
-  current_ = 0;
-  start_ = start;
-  inv_width_ = end > start ? static_cast<double>(kBuckets) / (end - start) : 0.0;
+EventHandle Simulator::schedule_in(DurationMs delay, EventFn fn) {
+  return schedule_at(now_ + std::max(0.0, delay), std::move(fn));
 }
 
-void Simulator::InsertCalendar::advance() {
-  assert(size_ > 0);
-  while (heap_.empty()) {
-    ++current_;
-    assert(current_ < kBuckets);
-    // Swap recycles both vectors' capacity across epochs; the bucket is
-    // unordered, so heapify it in one linear pass.
-    heap_.swap(buckets_[current_]);
-    std::make_heap(heap_.begin(), heap_.end(), StagedLater{});
-  }
-}
-
-Simulator::Simulator(const ShardOptions& options)
-    : shards_(static_cast<std::size_t>(std::max(1, options.shards))),
-      lookahead_ms_(std::max(0.0, options.lookahead_ms)),
-      pool_(options.pool) {}
-
-void Simulator::set_lookahead(DurationMs lookahead_ms) {
-  lookahead_ms_ = std::max(0.0, lookahead_ms);
-}
-
-EventHandle Simulator::schedule_in(DurationMs delay, EventFn fn, int shard) {
-  return schedule_at(now_ + std::max(0.0, delay), std::move(fn), shard);
-}
-
-EventHandle Simulator::schedule_at(TimeMs t, EventFn fn, int shard) {
-  const TimeMs at = std::max(t, now_);
-  if (shard_count() == 1) {
-    return shards_[0].queue.schedule(at, std::move(fn));
-  }
-  const auto target =
-      static_cast<std::uint32_t>(std::clamp(shard, 0, shard_count() - 1));
-  EventQueue& queue = shards_[target].queue;
-  const EventQueue::Entry entry =
-      queue.stage(at, next_sequence_++, std::move(fn));
-  if (!in_epoch_) {
-    queue.commit(entry);
-  } else if (at <= window_end_) {
-    // Intra-window schedule: merge it into the executing epoch at its exact
-    // (time, sequence) position so zero-delay chains and device completions
-    // shorter than the lookahead fire in serial order.
-    inserts_.push(Staged{entry, target});
-  } else {
-    // Cross-shard mailbox message: committed at the epoch barrier.
-    mailbox_.push_back(Staged{entry, target});
-  }
-  return queue.handle_for(entry);
+EventHandle Simulator::schedule_at(TimeMs t, EventFn fn) {
+  return queue_.schedule(std::max(t, now_), std::move(fn));
 }
 
 void Simulator::PeriodicHandle::cancel() {
@@ -101,18 +51,15 @@ bool Simulator::cancel_periodic(std::uint32_t index, std::uint32_t generation) {
 
 Simulator::PeriodicHandle Simulator::schedule_repeating(TimeMs start,
                                                         DurationMs period,
-                                                        RepeatFn fn,
-                                                        int shard) {
+                                                        RepeatFn fn) {
   const std::uint32_t index = acquire_periodic_slot();
   PeriodicTask& task = periodic_[index];
   task.fn = std::move(fn);
   task.period = period;
-  task.shard = static_cast<std::uint32_t>(std::clamp(shard, 0, shard_count() - 1));
   task.active = true;
   const std::uint32_t generation = task.generation;
   schedule_at(start,
-              [this, index, generation] { fire_periodic(index, generation); },
-              shard);
+              [this, index, generation] { fire_periodic(index, generation); });
   return PeriodicHandle(this, index, generation);
 }
 
@@ -126,7 +73,6 @@ void Simulator::fire_periodic(std::uint32_t index, std::uint32_t generation) {
   // would invalidate a reference into the slab mid-invocation.
   RepeatFn fn = std::move(periodic_[index].fn);
   const DurationMs period = periodic_[index].period;
-  const int shard = static_cast<int>(periodic_[index].shard);
   const bool keep = fn();
   if (index >= periodic_.size()) return;
   PeriodicTask& task = periodic_[index];
@@ -134,140 +80,16 @@ void Simulator::fire_periodic(std::uint32_t index, std::uint32_t generation) {
   if (keep) {
     task.fn = std::move(fn);
     schedule_in(period,
-                [this, index, generation] { fire_periodic(index, generation); },
-                shard);
+                [this, index, generation] { fire_periodic(index, generation); });
   } else {
     release_periodic_slot(index);
   }
 }
 
-TimeMs Simulator::earliest_event_time() {
-  TimeMs earliest = kTimeNever;
-  for (Shard& shard : shards_) {
-    earliest = std::min(earliest, shard.queue.next_time());
-  }
-  return earliest;
-}
-
-void Simulator::drain_epoch(TimeMs window) {
-  const std::size_t n = shards_.size();
-  const auto extract = [this, window](std::size_t s) {
-    Shard& shard = shards_[s];
-    shard.run.clear();
-    shard.queue.extract_until(window, static_cast<std::uint32_t>(s), shard.run);
-  };
-  {
-    // Timed whole from the driver thread, parallel fan-out included, so the
-    // profiler never races with pool workers.
-    obs::ScopedPhase prof(profiler_, obs::ProfilePhase::kEpochExtract);
-    if (pool_ != nullptr && n > 1) {
-      pool_->parallel_for(n, extract);
-    } else {
-      for (std::size_t s = 0; s < n; ++s) extract(s);
-    }
-  }
-
-  obs::ScopedPhase merge_prof(profiler_, obs::ProfilePhase::kEpochMerge);
-  in_epoch_ = true;
-  window_end_ = window;
-  inserts_.begin(now_, window);
-  // Pre-merge the per-shard sorted runs into one contiguous execution run:
-  // tournament rounds of std::merge, log2(shards) strictly-sequential
-  // passes. This replaces the old per-event scan over one head per shard —
-  // the hot execution loop below then walks a single array and compares
-  // only against the insert calendar. With one non-empty run the span
-  // aliases that shard's run directly (zero copies).
-  const auto earlier = [](const Staged& a, const Staged& b) {
-    if (a.entry.time != b.entry.time) return a.entry.time < b.entry.time;
-    return a.entry.sequence < b.entry.sequence;
-  };
-  spans_.clear();
-  std::size_t run_total = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    if (!shards_[s].run.empty()) {
-      spans_.push_back(Span{shards_[s].run.data(),
-                            shards_[s].run.data() + shards_[s].run.size()});
-      run_total += shards_[s].run.size();
-    }
-  }
-  std::vector<Staged>* out = &merge_front_;
-  std::vector<Staged>* spare = &merge_back_;
-  while (spans_.size() > 1) {
-    out->clear();
-    out->reserve(run_total);  // back_inserter must never reallocate: the
-                              // spans recorded below point into out
-    next_spans_.clear();
-    std::size_t i = 0;
-    for (; i + 1 < spans_.size(); i += 2) {
-      const std::size_t offset = out->size();
-      std::merge(spans_[i].begin, spans_[i].end, spans_[i + 1].begin,
-                 spans_[i + 1].end, std::back_inserter(*out), earlier);
-      next_spans_.push_back(Span{out->data() + offset, nullptr});
-    }
-    if (i < spans_.size()) {
-      // Odd run out: copy it through so no span of the next round aliases
-      // the buffer that round writes into.
-      const std::size_t offset = out->size();
-      out->insert(out->end(), spans_[i].begin, spans_[i].end);
-      next_spans_.push_back(Span{out->data() + offset, nullptr});
-    }
-    for (std::size_t j = 0; j + 1 < next_spans_.size(); ++j) {
-      next_spans_[j].end = next_spans_[j + 1].begin;
-    }
-    next_spans_.back().end = out->data() + out->size();
-    spans_.swap(next_spans_);
-    std::swap(out, spare);
-  }
-  const Staged* run_it = nullptr;
-  const Staged* run_end = nullptr;
-  if (!spans_.empty()) {
-    run_it = spans_.front().begin;
-    run_end = spans_.front().end;
-  }
-  // Merged execution: always the globally-earliest (time, sequence) entry,
-  // whether it came from the merged run or was scheduled inside this
-  // window. Intra-window inserts always carry larger sequence numbers than
-  // every extracted entry, so ties at equal times resolve exactly as the
-  // serial pop loop would.
-  while (true) {
-    const bool have_run = run_it != run_end;
-    if (have_run && run_it + 3 < run_end) {
-      // The run is a few events of exact lookahead — prefetch the slot that
-      // fires shortly so take()'s slab access hits cache. The serial heap
-      // can never do this: its next event is unknown until the sift ends.
-      const Staged& ahead = run_it[3];
-      shards_[ahead.shard].queue.prefetch(ahead.entry);
-    }
-    const bool use_insert =
-        !inserts_.empty() &&
-        (!have_run || earlier(inserts_.front(), *run_it));
-    if (!use_insert && !have_run) break;
-    const Staged staged = use_insert ? inserts_.pop() : *run_it++;
-    EventFn fn = shards_[staged.shard].queue.take(staged.entry);
-    if (fn) {
-      now_ = staged.entry.time;
-      ++events_processed_;
-      fn();
-    }
-  }
-  in_epoch_ = false;
-
-  // Barrier: deliver cross-shard messages. Commit order is immaterial — the
-  // (time, sequence) stamps assigned at stage() time define the total order,
-  // and heap extraction is insertion-order independent because sequences are
-  // globally unique — so the mailbox is logically (time, shard, sequence)
-  // ordered without paying for a sort here.
-  for (const Staged& staged : mailbox_) {
-    shards_[staged.shard].queue.commit(staged.entry);
-  }
-  mailbox_.clear();
-}
-
 TimeMs Simulator::run_serial(TimeMs until) {
   obs::ScopedPhase prof(profiler_, obs::ProfilePhase::kSerialDrain);
-  EventQueue& queue = shards_[0].queue;
-  while (!queue.empty() && queue.next_time() <= until) {
-    auto fired = queue.pop();
+  while (!queue_.empty() && queue_.next_time() <= until) {
+    auto fired = queue_.pop();
     now_ = fired.time;
     ++events_processed_;
     fired.fn();
@@ -275,43 +97,16 @@ TimeMs Simulator::run_serial(TimeMs until) {
   return now_;
 }
 
-TimeMs Simulator::run_sharded(TimeMs until) {
-  while (true) {
-    const TimeMs t0 = earliest_event_time();
-    if (t0 == kTimeNever || t0 > until) break;
-    drain_epoch(std::min(t0 + lookahead_ms_, until));
-  }
-  return now_;
-}
-
 TimeMs Simulator::run_until(TimeMs until) {
-  if (shard_count() == 1) {
-    run_serial(until);
-  } else {
-    run_sharded(until);
-  }
+  run_serial(until);
   now_ = std::max(now_, until);
   return now_;
 }
 
-TimeMs Simulator::run_to_completion() {
-  if (shard_count() == 1) {
-    return run_serial(kTimeNever);
-  }
-  while (true) {
-    const TimeMs t0 = earliest_event_time();
-    if (t0 == kTimeNever) break;
-    drain_epoch(t0 + lookahead_ms_);
-  }
-  return now_;
-}
+TimeMs Simulator::run_to_completion() { return run_serial(kTimeNever); }
 
 void Simulator::reset() {
-  assert(!in_epoch_ && inserts_.empty() && mailbox_.empty());
-  for (Shard& shard : shards_) {
-    shard.queue.clear();
-    shard.run.clear();
-  }
+  queue_.clear();
   // Retire every periodic slot without restarting generations, so handles
   // from before the reset cannot cancel series scheduled after it.
   periodic_free_head_ = kNoPeriodic;
@@ -325,7 +120,6 @@ void Simulator::reset() {
   }
   now_ = 0.0;
   events_processed_ = 0;
-  next_sequence_ = 0;
 }
 
 }  // namespace paldia::sim

@@ -2,49 +2,16 @@
 //
 // All framework components (gateway, batcher, autoscaler, devices, trackers)
 // are wired to one Simulator and communicate through scheduled callbacks.
-// Callbacks always execute single-threaded in global (time, sequence) order,
-// so no component needs internal locking.
-//
-// Sharded mode (ShardOptions.shards > 1) partitions the event population
-// into per-shard pooled queues — shard 0 is the control plane (gateway,
-// dispatch/monitor ticks, trackers, failure injector), the remaining shards
-// hold per-node-group device timers — and drains them in conservative
-// lookahead epochs:
-//
-//   1. Pick the next epoch window [t0, t0 + lookahead], t0 = earliest event
-//      across shards.
-//   2. Extract every event inside the window from each shard queue
-//      independently (batched; in parallel on the task-group executor when
-//      a pool is attached). Extraction only touches that shard's heap and
-//      slab, so the parallel phase shares nothing.
-//   3. Execute the extracted runs as one k-way merge by (time, sequence).
-//      Sequence numbers are stamped by a single global counter at
-//      schedule() time, exactly like the serial per-queue counter, so the
-//      merged order equals the serial drain order event for event — which
-//      is what keeps every export byte-identical to --shards=1.
-//   4. Callbacks scheduled *inside* the window join the merge immediately
-//      (an insert calendar, so zero-delay chains keep their serial order);
-//      callbacks scheduled *past* the window are cross-shard mailbox
-//      messages, committed at the barrier. Their (time, sequence) stamps —
-//      assigned when scheduled — already define the total order, so commit
-//      order is immaterial and the mailbox is logically
-//      (time, shard, sequence) ordered without a sort.
-//
-// The lookahead never affects correctness — intra-window schedules are
-// merged exactly, not deferred — it only sizes how much queue maintenance
-// each barrier epoch can batch. Larger windows amortize extraction; the
-// Framework sets it to the fastest control-plane cadence that crosses into
-// node shards (the dispatch interval).
+// Callbacks execute single-threaded in (time, sequence) order from one
+// pooled EventQueue, so no component needs internal locking and every run
+// is deterministic whatever thread pool drives the surrounding experiment.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "src/common/inline_function.hpp"
-#include "src/common/thread_pool.hpp"
 #include "src/common/units.hpp"
 #include "src/sim/event_queue.hpp"
 
@@ -54,50 +21,16 @@ class Profiler;
 
 namespace paldia::sim {
 
-struct ShardOptions {
-  /// Number of event shards. 1 = the classic serial drain (default);
-  /// values above 1 enable the epoch/mailbox machinery.
-  int shards = 1;
-  /// Conservative lookahead window in simulated ms. Purely a batching knob
-  /// (see file comment); must be > 0. Framework overrides it with the
-  /// minimum cross-shard cadence.
-  DurationMs lookahead_ms = 20.0;
-  /// Optional executor for the per-shard extraction phase. Null keeps the
-  /// epochs fully single-threaded (useful under TSan and on small fleets,
-  /// and the required setting for byte-identity checks on 1-core boxes —
-  /// though results are identical either way).
-  ThreadPool* pool = nullptr;
-};
-
 class Simulator {
  public:
-  Simulator() : Simulator(ShardOptions{}) {}
-  explicit Simulator(const ShardOptions& options);
-
   TimeMs now() const { return now_; }
 
-  int shard_count() const { return static_cast<int>(shards_.size()); }
+  /// Schedule fn `delay` ms from now. Negative delays clamp to now (a
+  /// zero-delay event runs after currently-pending same-time events).
+  EventHandle schedule_in(DurationMs delay, EventFn fn);
 
-  /// Shard for the entity_index-th node-like entity: entities round-robin
-  /// over the worker shards 1..shards-1; shard 0 is reserved for the
-  /// control plane. With one shard everything maps to 0.
-  int shard_of(int entity_index) const {
-    const int workers = shard_count() - 1;
-    if (workers <= 0) return 0;
-    return 1 + entity_index % workers;
-  }
-
-  /// Override the conservative lookahead window (> 0). Called by the
-  /// Framework once the control-plane cadences are known.
-  void set_lookahead(DurationMs lookahead_ms);
-  DurationMs lookahead_ms() const { return lookahead_ms_; }
-
-  /// Schedule fn `delay` ms from now on `shard`. Negative delays clamp to
-  /// now (a zero-delay event runs after currently-pending same-time events).
-  EventHandle schedule_in(DurationMs delay, EventFn fn, int shard = 0);
-
-  /// Schedule fn at absolute time t (clamped to now) on `shard`.
-  EventHandle schedule_at(TimeMs t, EventFn fn, int shard = 0);
+  /// Schedule fn at absolute time t (clamped to now).
+  EventHandle schedule_at(TimeMs t, EventFn fn);
 
   /// Callback of a repeating event; returns whether to keep firing.
   using RepeatFn = InlineFunction<bool()>;
@@ -125,31 +58,28 @@ class Simulator {
   /// First-class repeating event: fn fires at `start` and then every
   /// `period` ms for as long as it returns true (read now() for the tick
   /// time). The series owns one pooled slot and re-arms a thin queue entry
-  /// after each firing — no per-firing allocation, unlike the previous
-  /// shared_ptr<std::function> self-rescheduling chain. Every firing lands
-  /// on `shard`.
+  /// after each firing, so no firing allocates.
   PeriodicHandle schedule_repeating(TimeMs start, DurationMs period,
-                                    RepeatFn fn, int shard = 0);
+                                    RepeatFn fn);
 
   /// Schedule fn every `period` ms starting at `start`, until the returned
   /// handle is cancelled. fn receives no arguments; read now() for the tick
   /// time. Sugar over schedule_repeating with an always-true result.
   template <typename F>
-  PeriodicHandle schedule_every(TimeMs start, DurationMs period, F&& fn,
-                                int shard = 0) {
+  PeriodicHandle schedule_every(TimeMs start, DurationMs period, F&& fn) {
     return schedule_repeating(start, period,
                               [f = std::forward<F>(fn)]() mutable {
                                 f();
                                 return true;
-                              },
-                              shard);
+                              });
   }
 
-  /// Run until the queues are empty or simulated time would pass `until`.
-  /// Events exactly at `until` still run. Returns the final now().
+  /// Run until the queue is empty or simulated time would pass `until`.
+  /// Events exactly at `until` still run. Returns the final now(), which is
+  /// at least `until`.
   TimeMs run_until(TimeMs until);
 
-  /// Run until every queue is fully drained.
+  /// Run until the queue is fully drained.
   TimeMs run_to_completion();
 
   /// Drop every pending event and repeating series and reset the clock (for
@@ -157,13 +87,11 @@ class Simulator {
   /// into recycled slots: generations are bumped, not restarted.
   void reset();
 
-  /// Number of callbacks actually fired (cancelled events never count) —
-  /// identical across shard counts for the same workload.
+  /// Number of callbacks actually fired (cancelled events never count).
   std::size_t events_processed() const { return events_processed_; }
 
-  /// Attach a self-profiler (nullptr disables; see obs/profiler.hpp). Epoch
-  /// extraction is timed as a whole from the driver thread — including the
-  /// parallel fan-out — so the profiler is never touched off-thread.
+  /// Attach a self-profiler (nullptr disables; see obs/profiler.hpp). The
+  /// drain loop is timed as the serial_drain phase.
   void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
 
  private:
@@ -176,101 +104,7 @@ class Simulator {
     DurationMs period = 0.0;
     std::uint32_t generation = 0;
     std::uint32_t next_free = kNoPeriodic;
-    std::uint32_t shard = 0;
     bool active = false;
-  };
-
-  /// A staged entry bound for `shard`'s queue: an extracted epoch-run
-  /// entry, an intra-window insert (merged into the executing epoch
-  /// immediately) or a cross-shard mailbox message (committed at the
-  /// barrier).
-  using Staged = EventQueue::Tagged;
-
-  /// One event shard: a pooled queue plus its current epoch run.
-  struct Shard {
-    EventQueue queue;
-    std::vector<Staged> run;
-  };
-
-  /// Intra-window inserts of the executing epoch, consumed in exact global
-  /// (time, sequence) order. A bucketed calendar over [epoch start, window
-  /// end]: a push appends to its time bucket in O(1), and the merge loop
-  /// only ever needs the global minimum, which lives in the earliest
-  /// non-empty bucket — kept as a small binary heap that stays cache-hot.
-  /// The previous single epoch-wide heap paid one multi-megabyte sift per
-  /// reschedule once fleet-scale timer populations pushed most events
-  /// through the insert path.
-  class InsertCalendar {
-   public:
-    /// Arm for one epoch spanning [start, end]. Requires empty() — the merge
-    /// drains every insert before the epoch barrier.
-    void begin(TimeMs start, TimeMs end);
-
-    void push(const Staged& staged) {
-      const std::size_t index =
-          inv_width_ > 0.0
-              ? std::min(kBuckets - 1,
-                         static_cast<std::size_t>(
-                             (staged.entry.time - start_) * inv_width_))
-              : 0;
-      if (index <= current_) {
-        heap_.push_back(staged);
-        std::push_heap(heap_.begin(), heap_.end(), StagedLater{});
-      } else {
-        buckets_[index].push_back(staged);
-      }
-      ++size_;
-    }
-
-    bool empty() const { return size_ == 0; }
-
-    /// Global (time, sequence) minimum; requires !empty().
-    const Staged& front() {
-      if (heap_.empty()) advance();
-      return heap_.front();
-    }
-
-    Staged pop() {
-      if (heap_.empty()) advance();
-      std::pop_heap(heap_.begin(), heap_.end(), StagedLater{});
-      const Staged staged = heap_.back();
-      heap_.pop_back();
-      --size_;
-      return staged;
-    }
-
-   private:
-    static constexpr std::size_t kBuckets = 256;
-
-    /// Strict-weak "later" order on staged entries (max-heap comparator
-    /// yielding a (time, sequence) min-heap). Sequences are globally
-    /// unique, so this never declares a tie.
-    struct StagedLater {
-      bool operator()(const Staged& a, const Staged& b) const {
-        if (a.entry.time != b.entry.time) return a.entry.time > b.entry.time;
-        return a.entry.sequence > b.entry.sequence;
-      }
-    };
-
-    /// Move current_ to the next non-empty bucket and heapify it. Only
-    /// called with size_ > 0 and heap_ empty, so termination is guaranteed.
-    void advance();
-
-    std::array<std::vector<Staged>, kBuckets> buckets_;
-    std::vector<Staged> heap_;  // current bucket, min-heap by (time, sequence)
-    std::size_t current_ = 0;
-    std::size_t size_ = 0;
-    TimeMs start_ = 0.0;
-    double inv_width_ = 0.0;  // buckets per simulated ms; 0 = zero-width
-  };
-
-  /// Half-open range over staged entries, the unit of the tournament merge
-  /// in drain_epoch. Spans point either into a shard's run (round 0, and
-  /// the zero-copy single-run case) or into one of the ping-pong merge
-  /// buffers.
-  struct Span {
-    const Staged* begin;
-    const Staged* end;
   };
 
   void fire_periodic(std::uint32_t index, std::uint32_t generation);
@@ -278,39 +112,14 @@ class Simulator {
   std::uint32_t acquire_periodic_slot();
   void release_periodic_slot(std::uint32_t index);
 
-  /// Earliest live event time across all shards (kTimeNever when drained).
-  TimeMs earliest_event_time();
-
-  /// Run one epoch: extract every event in (-inf, window] per shard, then
-  /// execute the merged runs in global (time, sequence) order, then flush
-  /// the mailbox back into the shard queues.
-  void drain_epoch(TimeMs window);
-
+  /// Pop and fire every live event with time <= until.
   TimeMs run_serial(TimeMs until);
-  TimeMs run_sharded(TimeMs until);
 
-  std::vector<Shard> shards_;
+  EventQueue queue_;
   std::vector<PeriodicTask> periodic_;
   std::uint32_t periodic_free_head_ = kNoPeriodic;
   TimeMs now_ = 0.0;
   std::size_t events_processed_ = 0;
-
-  // Sharded-mode state. next_sequence_ is the global stamp that makes the
-  // cross-shard merge a total order; unused (the queue keeps its own
-  // counter) when shards == 1.
-  DurationMs lookahead_ms_ = 20.0;
-  ThreadPool* pool_ = nullptr;
-  std::uint64_t next_sequence_ = 0;
-  bool in_epoch_ = false;
-  TimeMs window_end_ = 0.0;
-  InsertCalendar inserts_;
-  std::vector<Staged> mailbox_;
-  // Tournament-merge scratch, reused across epochs: spans of the current /
-  // next round and the two buffers the rounds ping-pong between.
-  std::vector<Span> spans_;
-  std::vector<Span> next_spans_;
-  std::vector<Staged> merge_front_;
-  std::vector<Staged> merge_back_;
   obs::Profiler* profiler_ = nullptr;  // self-profiling hooks (optional)
 };
 

@@ -18,11 +18,6 @@ class PowerTracker {
   PowerTracker(sim::Simulator& simulator, const cluster::Cluster& cluster,
                DurationMs sample_period_ms = 1000.0);
 
-  /// Event shard the sampling timer lives on (default 0, the control
-  /// plane). Fleets move each endpoint's trackers onto the endpoint's
-  /// shard; placement never changes sample times or values.
-  void set_shard(int shard) { shard_ = shard; }
-
   /// Begin sampling until end_ms.
   void arm(TimeMs end_ms);
 
@@ -42,7 +37,6 @@ class PowerTracker {
   sim::Simulator* simulator_;
   const cluster::Cluster* cluster_;
   DurationMs period_ms_;
-  int shard_ = 0;
   TimeMs end_ms_ = 0.0;
   TimeMs started_ms_ = 0.0;
   TimeMs last_sample_ms_ = 0.0;

@@ -20,7 +20,7 @@ void UtilTracker::arm(TimeMs end_ms) {
     last_busy_ms_[static_cast<std::size_t>(i)] =
         cluster_->node(hw::NodeType(i)).device_busy_time_ms();
   }
-  simulator_->schedule_in(period_ms_, [this] { sample(); }, shard_);
+  simulator_->schedule_in(period_ms_, [this] { sample(); });
 }
 
 void UtilTracker::sample() {
@@ -40,7 +40,7 @@ void UtilTracker::sample() {
   }
   last_sample_ms_ = now;
   if (now + period_ms_ <= end_ms_) {
-    simulator_->schedule_in(period_ms_, [this] { sample(); }, shard_);
+    simulator_->schedule_in(period_ms_, [this] { sample(); });
   }
 }
 

@@ -15,11 +15,6 @@ class UtilTracker {
   UtilTracker(sim::Simulator& simulator, const cluster::Cluster& cluster,
               DurationMs sample_period_ms = 500.0);
 
-  /// Event shard the sampling timer lives on (default 0, the control
-  /// plane). Fleets move each endpoint's trackers onto the endpoint's
-  /// shard; placement never changes sample times or values.
-  void set_shard(int shard) { shard_ = shard; }
-
   void arm(TimeMs end_ms);
 
   /// Busy fraction of the node type over the time it was held; 0 when the
@@ -41,7 +36,6 @@ class UtilTracker {
   sim::Simulator* simulator_;
   const cluster::Cluster* cluster_;
   DurationMs period_ms_;
-  int shard_ = 0;
   TimeMs end_ms_ = 0.0;
   TimeMs last_sample_ms_ = 0.0;
   std::array<DurationMs, hw::kNodeTypeCount> busy_while_held_ms_{};

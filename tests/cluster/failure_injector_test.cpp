@@ -93,14 +93,14 @@ TEST(FailureInjector, NoFailuresWhenFirstPointPastHorizon) {
   EXPECT_EQ(h.injector.failures_injected(), 0);
 }
 
-TEST(FailureInjector, CoalescedWindowsMatchUnderSharding) {
-  // The injector lives on the control shard; its fail/recover callbacks
-  // must land identically under the sharded drain.
-  for (const int shards : {1, 4}) {
-    sim::ShardOptions options;
-    options.shards = shards;
-    options.lookahead_ms = 7.0;
-    sim::Simulator simulator(options);
+TEST(FailureInjector, CoalescedWindowsMatchAcrossRunUntilSteps) {
+  // Driving the simulator in run_until steps — boundaries before, inside
+  // and on the coalesced window — must land the fail/recover callbacks
+  // exactly as one uninterrupted drain does.
+  const std::vector<std::vector<TimeMs>> schedules = {
+      {40'000.0}, {2'000.0, 3'000.0, 11'000.0, 11'000.0, 40'000.0}};
+  for (const auto& steps : schedules) {
+    sim::Simulator simulator;
     std::vector<std::pair<char, TimeMs>> log;
     FailureInjector injector(
         simulator,
@@ -110,10 +110,10 @@ TEST(FailureInjector, CoalescedWindowsMatchUnderSharding) {
         [&] { log.emplace_back('f', simulator.now()); },
         [&] { log.emplace_back('r', simulator.now()); });
     injector.arm(40'000.0);
-    simulator.run_until(40'000.0);
+    for (const TimeMs until : steps) simulator.run_until(until);
     EXPECT_EQ(log, (std::vector<std::pair<char, TimeMs>>{
                        {'f', 3'000.0}, {'r', 40'000.0}}))
-        << "shards=" << shards;
+        << "steps=" << steps.size();
   }
 }
 

@@ -1,6 +1,6 @@
 // Unit tests for the core::Fleet coordinator: catalog slicing, the
-// deterministic splitmix64 request router, shard affinity, and workload
-// splitting (request conservation across per-endpoint sub-traces). The
+// deterministic splitmix64 request router, thread-count independence, and
+// workload splitting (request conservation across per-endpoint sub-traces). The
 // end-to-end fleet byte-identity contract lives in the integration suite.
 #include "src/core/fleet.hpp"
 
@@ -9,6 +9,7 @@
 #include <set>
 #include <vector>
 
+#include "src/common/thread_pool.hpp"
 #include "src/exp/scheme_factory.hpp"
 #include "src/hw/catalog_gen.hpp"
 #include "src/models/zoo.hpp"
@@ -22,10 +23,11 @@ hw::Catalog generated(int nodes) {
   return hw::generate_catalog({.node_count = nodes, .seed = 7});
 }
 
-Fleet::PolicyFactory paldia_factory(const models::Zoo& zoo) {
-  return [&zoo](int, const hw::Catalog& slice,
-                const models::ProfileTable& profile) {
-    exp::SchemeFactory factory(zoo, slice, profile);
+Fleet::PolicyFactory paldia_factory(const models::Zoo& zoo,
+                                    ThreadPool* pool = nullptr) {
+  return [&zoo, pool](int, const hw::Catalog& slice,
+                      const models::ProfileTable& profile) {
+    exp::SchemeFactory factory(zoo, slice, profile, pool);
     return factory.make(exp::SchemeId::kPaldia);
   };
 }
@@ -93,24 +95,32 @@ TEST(FleetRoute, DeterministicInRangeAndRoughlyBalanced) {
   EXPECT_GT(diffs, 500);
 }
 
-TEST(Fleet, EndpointsAreShardAffine) {
-  sim::Simulator simulator(sim::ShardOptions{.shards = 4});
+TEST(Fleet, EndpointSlicesAreIndependentOfThreadCount) {
   const hw::Catalog catalog = generated(32);
-  FleetConfig config;
-  config.endpoints = 8;
-  Fleet fleet(simulator, Rng(17), models::Zoo::instance(), catalog, config,
-              paldia_factory(models::Zoo::instance()));
-  ASSERT_EQ(fleet.endpoint_count(), 8);
-  for (int e = 0; e < fleet.endpoint_count(); ++e) {
-    EXPECT_EQ(fleet.shard_of_endpoint(e), simulator.shard_of(e));
-    EXPECT_GE(fleet.shard_of_endpoint(e), 1);  // shard 0 is control plane
-    EXPECT_LT(fleet.shard_of_endpoint(e), 4);
-    EXPECT_EQ(fleet.slice(e).size(), fleet.slice_nodes(e).size());
+  ThreadPool pool(4);
+  std::vector<std::vector<int>> reference;
+  for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    sim::Simulator simulator;
+    FleetConfig config;
+    config.endpoints = 8;
+    Fleet fleet(simulator, Rng(17), models::Zoo::instance(), catalog, config,
+                paldia_factory(models::Zoo::instance(), threads));
+    ASSERT_EQ(fleet.endpoint_count(), 8);
+    std::vector<std::vector<int>> slices;
+    for (int e = 0; e < fleet.endpoint_count(); ++e) {
+      EXPECT_EQ(fleet.slice(e).size(), fleet.slice_nodes(e).size());
+      slices.push_back(fleet.slice_nodes(e));
+    }
+    if (reference.empty()) {
+      reference = slices;
+    } else {
+      EXPECT_EQ(reference, slices);
+    }
   }
 }
 
 TEST(Fleet, AddWorkloadConservesRequestsAcrossEndpoints) {
-  sim::Simulator simulator(sim::ShardOptions{.shards = 4});
+  sim::Simulator simulator;
   const hw::Catalog catalog = generated(32);
   FleetConfig config;
   config.endpoints = 6;
@@ -134,31 +144,35 @@ TEST(Fleet, AddWorkloadConservesRequestsAcrossEndpoints) {
   EXPECT_EQ(endpoints_with_traffic, fleet.endpoint_count());
 }
 
-TEST(Fleet, WorkloadSplitIsIndependentOfShardCount) {
-  // The routing split happens before any event runs, so the per-endpoint
-  // request counts cannot depend on the shard layout.
+TEST(Fleet, WorkloadSplitIsIndependentOfThreadCount) {
+  // The routing split happens before any event runs, and the pool only
+  // parallelizes Algorithm 1's sweeps, so neither the per-endpoint request
+  // counts nor the run itself may depend on the thread count.
   const hw::Catalog catalog = generated(32);
   trace::PoissonOptions poisson;
   poisson.duration_ms = 30'000.0;
   poisson.mean_rps = 150.0;
   poisson.seed = 11;
   const trace::Trace global = trace::make_poisson_trace(poisson);
+  ThreadPool pool(4);
   std::vector<std::uint64_t> reference;
-  for (const int shards : {1, 2, 4}) {
-    sim::Simulator simulator(sim::ShardOptions{.shards = shards});
+  for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    sim::Simulator simulator;
     FleetConfig config;
     config.endpoints = 5;
     Fleet fleet(simulator, Rng(17), models::Zoo::instance(), catalog, config,
-                paldia_factory(models::Zoo::instance()));
+                paldia_factory(models::Zoo::instance(), threads));
     fleet.add_workload(models::ModelId::kMobileNet, global);
     std::vector<std::uint64_t> split;
     for (int e = 0; e < fleet.endpoint_count(); ++e) {
       split.push_back(fleet.endpoint_requests(e));
     }
+    split.push_back(static_cast<std::uint64_t>(fleet.run()));
+    split.push_back(simulator.events_processed());
     if (reference.empty()) {
       reference = split;
     } else {
-      EXPECT_EQ(reference, split) << "shards=" << shards;
+      EXPECT_EQ(reference, split);
     }
   }
 }

@@ -1,9 +1,8 @@
 // Fleet-scale determinism contract: a multi-endpoint FleetSim run — E
-// gateways over a sliced generated catalog, one shared sharded simulator —
-// must produce byte-identical exports (Chrome trace, metrics rows, decision
-// log, analysis report) for --shards=1 and 4, with and without the thread
-// pool parallelizing per-shard extraction. This is the test-suite twin of
-// the CI fleet smoke (bench/fleet_sim byte-compare).
+// gateways over a sliced generated catalog, one shared simulator — must
+// produce byte-identical exports (Chrome trace, metrics rows, decision log,
+// analysis report) with and without a thread pool. This is the test-suite
+// twin of the CI fleet smoke (bench/fleet_sim byte-compare).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -56,11 +55,9 @@ struct Exports {
   std::uint64_t unserved = 0;
 };
 
-Exports run_exports(const hw::Catalog& catalog, int shards, ThreadPool* pool,
+Exports run_exports(const hw::Catalog& catalog, ThreadPool* pool,
                     const std::string& tag) {
-  SchemeFactoryOptions options;
-  options.shards = shards;
-  FleetSim sim(models::Zoo::instance(), catalog, pool, options);
+  FleetSim sim(models::Zoo::instance(), catalog, pool);
   const Scenario scenario = fleet_scenario();
 
   obs::RunTrace trace;
@@ -103,34 +100,28 @@ Exports run_exports(const hw::Catalog& catalog, int shards, ThreadPool* pool,
   return exports;
 }
 
-TEST(FleetSim, ShardedVsSerialBitIdentical) {
+TEST(FleetSim, PooledVsSerialBitIdentical) {
   const hw::Catalog catalog = hw::generate_catalog({.node_count = 16, .seed = 3});
   ThreadPool pool(4);
-  const Exports serial = run_exports(catalog, 1, nullptr, "s1");
+  const Exports serial = run_exports(catalog, nullptr, "serial");
   ASSERT_FALSE(serial.chrome_trace.empty());
   ASSERT_FALSE(serial.metrics.empty());
   ASSERT_GT(serial.total_requests, 0u);
-  // Sharded with pooled extraction, and sharded draining inline: neither
-  // the shard count nor the extraction threads may change a byte.
-  for (const bool pooled : {true, false}) {
-    const Exports sharded = run_exports(catalog, 4, pooled ? &pool : nullptr,
-                                        pooled ? "s4pool" : "s4");
-    EXPECT_EQ(serial.chrome_trace, sharded.chrome_trace) << "pooled=" << pooled;
-    EXPECT_EQ(serial.metrics, sharded.metrics) << "pooled=" << pooled;
-    EXPECT_EQ(serial.decisions, sharded.decisions) << "pooled=" << pooled;
-    EXPECT_EQ(serial.report, sharded.report) << "pooled=" << pooled;
-    EXPECT_EQ(serial.total_requests, sharded.total_requests);
-    EXPECT_EQ(serial.unserved, sharded.unserved);
-  }
+  // The pool runs Algorithm 1's sweeps in parallel; it may not change a byte.
+  const Exports pooled = run_exports(catalog, &pool, "pooled");
+  EXPECT_EQ(serial.chrome_trace, pooled.chrome_trace);
+  EXPECT_EQ(serial.metrics, pooled.metrics);
+  EXPECT_EQ(serial.decisions, pooled.decisions);
+  EXPECT_EQ(serial.report, pooled.report);
+  EXPECT_EQ(serial.total_requests, pooled.total_requests);
+  EXPECT_EQ(serial.unserved, pooled.unserved);
 }
 
 TEST(FleetSim, RequestIdsUniqueAcrossEndpointTraces) {
   // Every traced request id carries its endpoint tag: ids observed by
   // different endpoints' tracers must never alias.
   const hw::Catalog catalog = hw::generate_catalog({.node_count = 16, .seed = 3});
-  SchemeFactoryOptions options;
-  options.shards = 4;
-  FleetSim sim(models::Zoo::instance(), catalog, nullptr, options);
+  FleetSim sim(models::Zoo::instance(), catalog);
   obs::RunTrace trace;
   const FleetSimResult result =
       sim.run(fleet_scenario(), SchemeId::kPaldia, kEndpoints, &trace);

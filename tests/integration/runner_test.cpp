@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "src/exp/summary.hpp"
+#include "src/obs/chrome_trace.hpp"
+#include "src/obs/export.hpp"
+#include "src/obs/report.hpp"
 #include "src/trace/generators.hpp"
 
 namespace paldia::exp {
@@ -171,6 +179,93 @@ TEST(Runner, PooledVsBypassBitIdentical) {
     EXPECT_EQ(a.combined.average_power, b.combined.average_power);
     EXPECT_EQ(a.combined.cold_starts, b.combined.cold_starts);
     EXPECT_EQ(a.combined.slo_violations, b.combined.slo_violations);
+  }
+}
+
+TEST(Runner, RunEndingWithGpuWorkInFlightTearsDownCleanly) {
+  // A zero drain cap stops the run at the trace end while the pinned V100
+  // still executes batches. Teardown then destroys the cluster's in-flight
+  // jobs, whose request blocks belong to the framework's arena, so the
+  // arena must outlive the cluster (a use-after-free under ASan otherwise).
+  Runner runner(models::Zoo::instance(), hw::Catalog::instance());
+  auto scenario = short_scenario(models::ModelId::kVgg19, 200.0, seconds(10));
+  scenario.framework.max_drain_ms = 0.0;
+  const auto result = runner.run_once(scenario, SchemeId::kMpsOnlyPerf, 3);
+  const auto arrivals = scenario.workloads.front().trace.total_requests();
+  EXPECT_GT(result.combined.requests, 0u);
+  // Requests in flight at the cap are neither completed nor unserved.
+  EXPECT_LT(result.combined.requests, arrivals);
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// Every export surface of one failure-injected run, as raw bytes.
+struct Exports {
+  std::string chrome_trace;
+  std::string metrics;
+  std::string decisions;
+  std::string report;
+};
+
+Exports failure_run_exports(ThreadPool* pool, SchemeId scheme,
+                            const std::string& tag) {
+  Runner runner(models::Zoo::instance(), hw::Catalog::instance(), pool);
+  auto scenario = short_scenario(models::ModelId::kResNet50, 60.0, seconds(30), 2);
+  scenario.name = "failures";
+  scenario.failures = cluster::FailureInjectorConfig{
+      .period_ms = seconds(12), .downtime_ms = seconds(4),
+      .first_failure_ms = seconds(6)};
+  obs::RunTrace trace;
+  const RunResult result = runner.run(scenario, scheme, trace);
+
+  Exports exports;
+  std::ostringstream chrome;
+  obs::write_chrome_trace(chrome, trace, scenario.name);
+  exports.chrome_trace = chrome.str();
+
+  const std::string dir = ::testing::TempDir();
+  const std::string metrics_path = dir + "runner_metrics_" + tag + ".jsonl";
+  const std::string decisions_path = dir + "runner_decisions_" + tag + ".jsonl";
+  {
+    obs::MetricsWriter metrics(metrics_path);
+    EXPECT_TRUE(metrics.ok()) << metrics.error();
+    metrics.write(result.combined, "runner-test");
+    obs::DecisionLogWriter decisions(decisions_path);
+    EXPECT_TRUE(decisions.ok()) << decisions.error();
+    decisions.write(trace, scheme_name(scheme), scenario.name);
+  }
+  exports.metrics = slurp(metrics_path);
+  exports.decisions = slurp(decisions_path);
+  std::remove(metrics_path.c_str());
+  std::remove(decisions_path.c_str());
+
+  std::ostringstream report;
+  obs::write_report_json(
+      report, {obs::analyze_with_zoo(
+                  obs::extract_run_data(trace, scenario.name))});
+  exports.report = report.str();
+  return exports;
+}
+
+TEST(Runner, FailureRunExportsBitIdenticalAcrossThreads) {
+  // Fail-over, requeue and procurement all run here; the pool (parallel
+  // reps and Algorithm 1 sweeps) may not change a byte of any export.
+  ThreadPool pool(8);
+  for (const SchemeId scheme : {SchemeId::kPaldia, SchemeId::kOracle}) {
+    const Exports serial = failure_run_exports(nullptr, scheme, "serial");
+    ASSERT_FALSE(serial.chrome_trace.empty());
+    ASSERT_FALSE(serial.metrics.empty());
+    ASSERT_FALSE(serial.decisions.empty());
+    const Exports pooled = failure_run_exports(&pool, scheme, "pooled");
+    EXPECT_EQ(serial.chrome_trace, pooled.chrome_trace) << scheme_name(scheme);
+    EXPECT_EQ(serial.metrics, pooled.metrics) << scheme_name(scheme);
+    EXPECT_EQ(serial.decisions, pooled.decisions) << scheme_name(scheme);
+    EXPECT_EQ(serial.report, pooled.report) << scheme_name(scheme);
   }
 }
 

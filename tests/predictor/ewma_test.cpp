@@ -55,8 +55,8 @@ TEST(Ewma, ZeroTrendAlphaIsClassicEwma) {
 }
 
 TEST(Ewma, IgnoresDuplicateAndOutOfOrderObservations) {
-  // Sharded delivery can replay a monitor sample (same now) or hand one in
-  // late (now < last). Both are stale: the predictor state must not move.
+  // A caller can repeat a sample (same now) or hand one in late
+  // (now < last). Both are stale: the predictor state must not move.
   EwmaPredictor predictor(0.5, 0.35);
   predictor.observe(0.0, 100.0);
   predictor.observe(1000.0, 110.0);
