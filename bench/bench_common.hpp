@@ -329,6 +329,13 @@ class RunObserver {
       if (rollups_ != nullptr) rollups_->write(trace, label);
       if (alerts_ != nullptr) alerts_->write(trace, label);
     }
+    // --profile shows each run's self-profile on stderr, so the flag prints
+    // something on its own while stdout and every export stay unchanged.
+    std::vector<obs::PhaseProfile> profile = obs::summarize_profile(trace);
+    if (!profile.empty()) {
+      std::cerr << "\n[" << figure_ << " " << label << "] ";
+      obs::render_profile_text(std::cerr, profile);
+    }
     if (!report_out_.empty()) {
       // Same analysis paldia-analyze performs on the exported trace file;
       // extract_run_data quantizes through the exporter formats, so the two
@@ -337,7 +344,7 @@ class RunObserver {
       // only when --alerts-out ran a HealthEngine.
       obs::AnalysisReport report =
           obs::analyze_with_zoo(obs::extract_run_data(trace, label));
-      report.profile = obs::summarize_profile(trace);
+      report.profile = std::move(profile);
       report.health = obs::summarize_health(trace);
       reports_.push_back(std::move(report));
     }

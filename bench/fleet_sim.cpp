@@ -158,12 +158,13 @@ int main(int argc, char** argv) {
   }
   observer.record(result.combined);
 
-  // Self-check: every routed arrival landed on exactly one gateway.
+  // Self-check: every routed arrival landed on exactly one gateway. An
+  // endpoint's `requests` already count its unserved requests (recorded as
+  // missed completions at the drain cap).
   std::uint64_t routed = 0;
   for (const auto& endpoint : result.per_endpoint) {
     routed += endpoint.combined.requests;
   }
-  routed += result.unserved;
   if (routed != result.total_requests) {
     std::fprintf(stderr,
                  "FAIL: %llu arrivals routed but %llu served+unserved\n",

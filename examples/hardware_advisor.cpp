@@ -20,20 +20,21 @@ int main(int argc, char** argv) {
       std::clamp(examples::positional_int(args, 0, 0), 0, models::kModelCount - 1);
   const auto model = models::ModelId(model_index);
 
-  models::ProfileTable profile(hw::Catalog::instance());
+  const hw::Catalog& catalog = hw::Catalog::instance();
+  models::ProfileTable profile(catalog);
   // --threads=N parallelizes the per-node y-sweep; the best split found is
   // the same either way (the sweep space is scanned exhaustively).
   perfmodel::YOptimizer optimizer(perfmodel::TmaxModel(0.2),
                                   examples::pool_for(args));
-  core::HardwareSelection selection(models::Zoo::instance(), hw::Catalog::instance(),
-                                    profile, optimizer);
+  core::HardwareSelection selection(models::Zoo::instance(), catalog, profile,
+                                    optimizer);
 
   std::cout << "Hardware advisor for " << models::model_id_name(model)
             << " (SLO 200 ms). T_max = predicted worst-case completion per "
                "Eq. (1); '-' = single request already busts the SLO.\n\n";
 
   std::vector<std::string> columns = {"Rate (rps)"};
-  for (const auto& spec : hw::Catalog::instance().all()) {
+  for (const auto& spec : catalog.all()) {
     columns.push_back(spec.display_name());
   }
   columns.push_back("CHOSEN");
@@ -45,9 +46,9 @@ int main(int argc, char** argv) {
     demand.observed_rps = demand.predicted_rps = demand.smoothed_rps = rate;
 
     std::vector<std::string> row = {Table::num(rate, 0)};
-    for (int i = 0; i < hw::kNodeTypeCount; ++i) {
+    for (int i = 0; i < static_cast<int>(catalog.size()); ++i) {
       const auto choice = selection.evaluate(hw::NodeType(i), {demand});
-      const auto& spec = hw::Catalog::instance().spec(hw::NodeType(i));
+      const auto& spec = catalog.spec(hw::NodeType(i));
       if (profile.lookup(models::Zoo::instance().spec(model), hw::NodeType(i), 1)
               .solo_ms > 200.0) {
         row.push_back("-");
@@ -60,7 +61,7 @@ int main(int argc, char** argv) {
         row.push_back(cell);
       }
     }
-    row.push_back(std::string(hw::node_type_name(selection.choose({demand}).node)));
+    row.push_back(std::string(catalog.name(selection.choose({demand}).node)));
     table.add_row(std::move(row));
   }
   table.print(std::cout);

@@ -1,6 +1,8 @@
 #include "src/common/json.hpp"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -284,6 +286,36 @@ JsonLinesResult parse_json_lines(std::string_view text) {
   }
   out.ok = true;
   return out;
+}
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string json_number(double value) {
+  if (!std::isfinite(value)) return "0";
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%.10g", value);
+  return buf;
 }
 
 }  // namespace paldia::common

@@ -92,4 +92,9 @@ struct JsonLinesResult {
 };
 JsonLinesResult parse_json_lines(std::string_view text);
 
+/// `text` as JSON string content: the escapes parse_json() reads back.
+std::string json_escape(std::string_view text);
+/// The exporters' number format: "%.10g", "0" when not finite.
+std::string json_number(double value);
+
 }  // namespace paldia::common

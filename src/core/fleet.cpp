@@ -12,8 +12,8 @@ std::vector<std::vector<int>> slice_catalog(const hw::Catalog& catalog,
                                             int endpoints) {
   assert(endpoints >= 1);
   std::vector<std::vector<int>> slices(static_cast<std::size_t>(endpoints));
-  // Deal CPUs first so truncation to kNodeTypeCount can never evict a
-  // slice's only CPU node (slices are started on their cheapest CPU).
+  // Deal CPUs first so every slice gets one while supplies last (slices
+  // are started on their cheapest node).
   int dealt_cpu = 0;
   int dealt_gpu = 0;
   for (int pass = 0; pass < 2; ++pass) {
@@ -25,12 +25,7 @@ std::vector<std::vector<int>> slice_catalog(const hw::Catalog& catalog,
       ++dealt;
     }
   }
-  for (auto& slice : slices) {
-    if (static_cast<int>(slice.size()) > hw::kNodeTypeCount) {
-      slice.resize(static_cast<std::size_t>(hw::kNodeTypeCount));
-    }
-    std::sort(slice.begin(), slice.end());
-  }
+  for (auto& slice : slices) std::sort(slice.begin(), slice.end());
   return slices;
 }
 

@@ -1,9 +1,10 @@
 // Multi-gateway fleet simulation: E independent serving loops (endpoints)
 // over one shared simulator and one global node catalog. Each endpoint owns
-// a gateway + scheduler policy + autoscaler + trackers over a small *slice*
-// of the catalog (at most hw::kNodeTypeCount nodes, so every fixed-size
-// telemetry path keeps working), and all endpoints advance in lockstep
-// through the shared event queue — one run_until drives the whole fleet.
+// a gateway + scheduler policy + autoscaler + trackers over a *slice* of the
+// catalog (its round-robin share, of any size: every per-node structure is
+// sized from the slice catalog, whose nodes keep their global names), and
+// all endpoints advance in lockstep through the shared event queue — one
+// run_until drives the whole fleet.
 //
 // Determinism contract:
 //   * Request ids are globally unique across gateways: endpoint e's
@@ -126,11 +127,11 @@ class Fleet {
   std::uint64_t total_requests_ = 0;
 };
 
-/// Partition a catalog's node indices into `endpoints` slices of at most
-/// hw::kNodeTypeCount nodes each: CPU nodes are dealt round-robin first
-/// (so every slice gets one while supplies last), then GPU nodes; each
-/// slice keeps its first hw::kNodeTypeCount cards and sorts them by global
-/// index. Exposed for tests and for fleet drivers that report placement.
+/// Partition a catalog's node indices into `endpoints` slices: CPU nodes are
+/// dealt round-robin first (so every slice gets one while supplies last),
+/// then GPU nodes; each slice is sorted by global index. Every node lands in
+/// exactly one slice. Exposed for tests and for fleet drivers that report
+/// placement.
 std::vector<std::vector<int>> slice_catalog(const hw::Catalog& catalog,
                                             int endpoints);
 

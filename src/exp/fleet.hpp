@@ -1,8 +1,8 @@
 // Fleet-scale hardware selection scenario (the large-catalog stress for
 // Algorithm 1). A generated device catalog (hw/catalog_gen.hpp) is driven
 // by 100+ model endpoints, each with a deterministic random-walk demand
-// schedule, through HardwareSelection::choose directly — no Framework, no
-// simulator, so the catalog is free to exceed kNodeTypeCount.
+// schedule, through HardwareSelection::choose directly — no Framework and
+// no simulator, just the selection sweep over the whole catalog.
 //
 // Two outputs matter:
 //   * a cost-vs-SLO frontier (fig. 5 style): sweep slo_headroom and report

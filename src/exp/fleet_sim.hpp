@@ -5,9 +5,10 @@
 //
 // The obs::RunTrace slots are reused with one slot per *endpoint* (instead
 // of per repetition): tracer/rollup/profiler/health slot e observes endpoint
-// e, and the existing exporters walk the slots in endpoint order — so fleet
-// exports are byte-identical across --threads exactly like per-rep
-// exports.
+// e and carries a copy of its slice's node names, so every export labels a
+// node with its global catalog name. The existing exporters walk the slots
+// in endpoint order — so fleet exports are byte-identical across --threads
+// exactly like per-rep exports.
 #pragma once
 
 #include <cstdint>

@@ -263,36 +263,8 @@ RunResult Runner::run(const Scenario& scenario, SchemeId scheme, obs::RunTrace& 
   trace.health_config.slo_target = factory_.options().slo_target;
   trace.health_config.fast_window_ms = factory_.options().burn_fast_ms;
   trace.health_config.slow_window_ms = factory_.options().burn_slow_ms;
-  trace.reps.clear();
-  trace.rollups.clear();
-  trace.profiles.clear();
-  trace.healths.clear();
-  if (trace.capture_events) {
-    trace.reps.reserve(reps);
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      trace.reps.push_back(std::make_unique<obs::Tracer>(trace.config));
-    }
-  }
-  if (trace.collect_rollups) {
-    trace.rollups.reserve(reps);
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      trace.rollups.push_back(
-          std::make_unique<obs::RollupAggregator>(trace.rollup_config));
-    }
-  }
-  if (trace.profile) {
-    trace.profiles.reserve(reps);
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      trace.profiles.push_back(std::make_unique<obs::Profiler>());
-    }
-  }
-  if (trace.collect_health) {
-    trace.healths.reserve(reps);
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      trace.healths.push_back(
-          std::make_unique<obs::HealthEngine>(trace.health_config));
-    }
-  }
+  trace.clear_slots();
+  for (std::size_t rep = 0; rep < reps; ++rep) trace.add_slot(*catalog_);
   auto run_rep = [&](std::size_t rep) {
     const std::uint64_t seed =
         scenario.base_seed + 0x9e3779b9ull * static_cast<std::uint64_t>(rep + 1) +

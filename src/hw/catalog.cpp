@@ -9,7 +9,7 @@ namespace paldia::hw {
 namespace {
 
 std::vector<NodeSpec> default_specs() {
-  std::vector<NodeSpec> specs(kNodeTypeCount);
+  std::vector<NodeSpec> specs(6);  // Table II
 
   // GPU nodes. Host CPUs on GPU instances run request plumbing only; their
   // inference role is nil, but they contribute to the power model.
@@ -80,6 +80,13 @@ const NodeSpec& Catalog::spec(NodeType type) const {
   const auto index = static_cast<std::size_t>(type);
   assert(index < specs_.size());
   return specs_[index];
+}
+
+std::vector<std::string> Catalog::names() const {
+  std::vector<std::string> out;
+  out.reserve(specs_.size());
+  for (const NodeSpec& spec : specs_) out.push_back(spec.instance);
+  return out;
 }
 
 void Catalog::build_indexes() {

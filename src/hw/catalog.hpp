@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <optional>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -11,7 +12,8 @@
 
 namespace paldia::hw {
 
-/// Immutable catalog of node types. The default holds the six Table II rows;
+/// Immutable catalog of node types, and the one place that knows how many
+/// exist and what they are called. The default holds the six Table II rows;
 /// generated catalogs (catalog_gen.hpp) can hold hundreds. A singleton view
 /// exists for the default — specs never change during a run; tests and the
 /// fleet paths build their own Catalog.
@@ -32,9 +34,10 @@ class Catalog {
   std::span<const NodeSpec> all() const { return specs_; }
   std::size_t size() const { return specs_.size(); }
 
-  /// Instance name of a node type. Unlike node_type_name() this works for
-  /// generated catalogs, whose names live in the specs.
+  /// Instance name of a node type: the only source of node labels.
   std::string_view name(NodeType type) const { return spec(type).instance; }
+  /// Every instance name, by node index.
+  std::vector<std::string> names() const;
 
   /// All node types ordered by ascending hourly price (Algorithm 1 iterates
   /// the candidate pool cheapest-first). Ties break on catalog index so the

@@ -7,22 +7,4 @@ std::string NodeSpec::display_name() const {
   return cpu.name + " x" + std::to_string(cpu.vcpus);
 }
 
-std::string_view node_type_name(NodeType type) {
-  switch (type) {
-    case NodeType::kP3_2xlarge: return "p3.2xlarge";
-    case NodeType::kP2_xlarge: return "p2.xlarge";
-    case NodeType::kG3s_xlarge: return "g3s.xlarge";
-    case NodeType::kC6i_4xlarge: return "c6i.4xlarge";
-    case NodeType::kC6i_2xlarge: return "c6i.2xlarge";
-    case NodeType::kM4_xlarge: return "m4.xlarge";
-  }
-  // Generated-catalog index: no static name. The returned view aliases a
-  // thread-local scratch buffer valid until the next call on this thread —
-  // fine for display/debug, which is all this function serves; catalogs
-  // carry the real instance names (Catalog::name()).
-  thread_local std::string scratch;
-  scratch = "node" + std::to_string(static_cast<int>(type));
-  return scratch;
-}
-
 }  // namespace paldia::hw

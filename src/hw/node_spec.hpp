@@ -1,6 +1,6 @@
-// Hardware descriptions for the six worker-node types of the paper's
-// cluster (Table II), plus the per-device parameters the simulated devices
-// and the performance model consume.
+// Hardware descriptions of worker-node types (the default catalog holds the
+// six of the paper's cluster, Table II), plus the per-device parameters the
+// simulated devices and the performance model consume.
 //
 // GPU compute capability is expressed as `speed` relative to the V100
 // (solo batch time on GPU g = solo time on V100 * v100.speed / g.speed) and
@@ -13,7 +13,6 @@
 
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "src/common/units.hpp"
 
@@ -60,12 +59,10 @@ struct NodeSpec {
 
 /// Stable identifier of a node type: an index into the owning Catalog, not a
 /// closed enumeration. The named constants are the indices of the six
-/// Table II rows in the *default* catalog; generated catalogs use indices
-/// beyond any named constant, addressed via make_node_type(). Code that needs
-/// fixed-size per-node-type storage (telemetry, chrome-trace pid layout) is
-/// sized by kNodeTypeCount and therefore only supports the default catalog;
-/// the fleet-scale paths (HardwareSelection, exp::fleet) take the catalog
-/// size at runtime.
+/// Table II rows in the *default* catalog; other catalogs are addressed via
+/// make_node_type(). How many node types exist and what they are called is
+/// the catalog's to say (Catalog::size(), Catalog::name()); per-node storage
+/// is sized from it.
 enum class NodeType : int {
   kP3_2xlarge = 0,   // NVIDIA V100
   kP2_xlarge = 1,    // NVIDIA K80
@@ -77,14 +74,5 @@ enum class NodeType : int {
 
 constexpr NodeType make_node_type(int index) { return static_cast<NodeType>(index); }
 constexpr int node_index(NodeType type) { return static_cast<int>(type); }
-
-/// Number of node types in the *default* Table II catalog. Fixed-size
-/// telemetry arrays are bounded by this; generated catalogs bypass them.
-inline constexpr int kNodeTypeCount = 6;
-
-/// Instance name for the default catalog's node types; "node<i>" for catalog
-/// indices beyond Table II (generated catalogs carry their names in the
-/// NodeSpec — prefer Catalog::name() when a catalog is at hand).
-std::string_view node_type_name(NodeType type);
 
 }  // namespace paldia::hw

@@ -72,7 +72,6 @@ AttributionEngine::AttributionEngine(const models::Zoo& zoo) {
 std::optional<telemetry::ViolationCause> AttributionEngine::observe_request(
     LifecycleSample sample) {
   const bool model_ok = sample.model >= 0 && sample.model < models::kModelCount;
-  const bool node_ok = sample.node >= 0 && sample.node < hw::kNodeTypeCount;
   sample.retried = retried_.count(sample.request_id) > 0;
   sample.blackout = blackouts_.overlaps(sample.arrival_ms, sample.start_ms);
 
@@ -82,10 +81,6 @@ std::optional<telemetry::ViolationCause> AttributionEngine::observe_request(
   if (model_ok) {
     ++per_model_[sample.model].completed;
     per_model_[sample.model].latency.insert(latency);
-  }
-  if (node_ok) {
-    ++per_node_[sample.node].completed;
-    per_node_[sample.node].latency.insert(latency);
   }
 
   if (!model_ok || latency <= slo_ms_[sample.model]) return std::nullopt;
@@ -97,10 +92,6 @@ std::optional<telemetry::ViolationCause> AttributionEngine::observe_request(
   ++window_[index];
   ++per_model_[sample.model].violations;
   ++per_model_[sample.model].causes[index];
-  if (node_ok) {
-    ++per_node_[sample.node].violations;
-    ++per_node_[sample.node].causes[index];
-  }
   return cause;
 }
 

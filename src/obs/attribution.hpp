@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "src/common/units.hpp"
-#include "src/hw/node_spec.hpp"
 #include "src/models/model_spec.hpp"
 #include "src/obs/sketch.hpp"
 #include "src/telemetry/slo_tracker.hpp"
@@ -97,8 +96,8 @@ class BlackoutWindows {
   std::vector<Window> windows_;
 };
 
-/// Per-model / per-node aggregation cell: completion + violation counts by
-/// cause plus a streaming latency sketch.
+/// Per-model aggregation cell: completion + violation counts by cause plus a
+/// streaming latency sketch.
 struct AttributionBucket {
   std::uint64_t completed = 0;
   std::uint64_t violations = 0;
@@ -141,7 +140,6 @@ class AttributionEngine {
   const telemetry::ViolationCauseCounts& causes() const { return total_.causes; }
   const AttributionBucket& total() const { return total_; }
   const AttributionBucket& per_model(int model) const { return per_model_[model]; }
-  const AttributionBucket& per_node(int node) const { return per_node_[node]; }
   const BlackoutWindows& blackouts() const { return blackouts_; }
 
  private:
@@ -150,7 +148,6 @@ class AttributionEngine {
   std::unordered_set<std::int64_t> retried_;
   AttributionBucket total_;
   std::array<AttributionBucket, models::kModelCount> per_model_;
-  std::array<AttributionBucket, hw::kNodeTypeCount> per_node_;
   telemetry::ViolationCauseCounts window_{};  // since the last sample()
 };
 

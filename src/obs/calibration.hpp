@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/common/units.hpp"
@@ -42,6 +43,7 @@ struct CalibrationInterval {
 
 struct NodeCalibration {
   int node = -1;
+  std::string label;  // node name; set by the report (obs/report.hpp)
   int intervals = 0;  // observed intervals with this node chosen
   double mape = 0.0;  // mean |observed - predicted| / predicted
   int feasible_intervals = 0;
@@ -68,7 +70,7 @@ struct CalibrationSummary {
   int intervals_observed = 0;  // ... answered by at least one batch
   double tmax_mape = 0.0;
   double tmax_coverage = 1.0;  // across all feasible observed intervals
-  std::vector<NodeCalibration> per_node;       // node index ascending
+  std::vector<NodeCalibration> per_node;       // node ascending
   std::vector<YSplitCalibration> per_y_split;  // best_y ascending
   RateCalibration rate;
 };

@@ -7,15 +7,11 @@
 #include <ostream>
 #include <set>
 
-#include "src/hw/node_spec.hpp"
+#include "src/common/json.hpp"
 #include "src/models/model_spec.hpp"
 
 namespace paldia::obs {
 namespace {
-
-// Process-id block per repetition: pid 0 = framework, 1..kNodeTypeCount =
-// one process per hardware node type.
-constexpr int kPidsPerRep = 1 + hw::kNodeTypeCount;
 
 // Fixed-precision microsecond timestamp: deterministic bytes for a given
 // double, enough resolution for sub-ms simulated times.
@@ -26,35 +22,8 @@ std::string us(TimeMs ms) {
   return buf;
 }
 
-std::string num(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.10g", value);
-  return buf;
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using common::json_escape;
+constexpr auto num = common::json_number;
 
 const char* lane_name(cluster::ShareMode mode) {
   switch (mode) {
@@ -70,11 +39,6 @@ int lane_tid(cluster::ShareMode mode) { return static_cast<int>(mode); }
 std::string model_name(std::int16_t tag) {
   if (tag < 0 || tag >= models::kModelCount) return "";
   return std::string(models::model_id_name(models::ModelId(tag)));
-}
-
-std::string node_name(std::int16_t tag) {
-  if (tag < 0 || tag >= hw::kNodeTypeCount) return "";
-  return std::string(hw::node_type_name(hw::NodeType(tag)));
 }
 
 class EventStream {
@@ -119,9 +83,19 @@ void emit_request_async(EventStream& stream, int pid, const TraceEvent& event,
   stream.emit(body);
 }
 
-std::string request_args(const TraceEvent& event, bool with_components) {
+/// One slot's view of the run: its pid block and its catalog's node names.
+struct Slot {
+  const RunTrace& trace;
+  std::size_t rep;
+  int base;  // framework pid; node i is pid base + 1 + i
+
+  const std::string& node(int tag) const { return trace.node_name(rep, tag); }
+};
+
+std::string request_args(const Slot& slot, const TraceEvent& event,
+                         bool with_components) {
   std::string args = "\"model\":\"" + json_escape(model_name(event.model)) +
-                     "\",\"node\":\"" + json_escape(node_name(event.node)) +
+                     "\",\"node\":\"" + json_escape(slot.node(event.node)) +
                      "\",\"lane\":\"" + lane_name(event.mode) +
                      "\",\"batch_size\":" + std::to_string(event.batch_size) +
                      ",\"spatial\":" + std::to_string(event.spatial) +
@@ -135,14 +109,15 @@ std::string request_args(const TraceEvent& event, bool with_components) {
   return args;
 }
 
-void emit_decision(EventStream& stream, int pid, const DecisionRecord& record) {
+void emit_decision(EventStream& stream, const Slot& slot,
+                   const DecisionRecord& record) {
+  const auto node = [&](hw::NodeType type) {
+    return json_escape(slot.node(hw::node_index(type)));
+  };
   std::string args =
-      "\"current\":\"" +
-      json_escape(std::string(hw::node_type_name(record.current))) +
-      "\",\"chosen\":\"" +
-      json_escape(std::string(hw::node_type_name(record.raw_choice))) +
-      "\",\"final\":\"" +
-      json_escape(std::string(hw::node_type_name(record.final_choice))) +
+      "\"current\":\"" + node(record.current) +
+      "\",\"chosen\":\"" + node(record.raw_choice) +
+      "\",\"final\":\"" + node(record.final_choice) +
       "\",\"switch_begun\":" + (record.switch_begun ? "true" : "false") +
       ",\"feasible\":" + (record.raw_feasible ? "true" : "false") +
       ",\"t_max_ms\":" + num(record.raw_t_max_ms) +
@@ -161,8 +136,7 @@ void emit_decision(EventStream& stream, int pid, const DecisionRecord& record) {
     for (const auto& candidate : record.candidates) {
       if (!first) args += ",";
       first = false;
-      args += "{\"node\":\"" +
-              json_escape(std::string(hw::node_type_name(candidate.node))) +
+      args += "{\"node\":\"" + node(candidate.node) +
               "\",\"t_max_ms\":" + num(candidate.t_max_ms) +
               ",\"feasible\":" + (candidate.feasible ? "true" : "false") +
               ",\"price_per_hour\":" + num(candidate.price_per_hour) +
@@ -170,34 +144,36 @@ void emit_decision(EventStream& stream, int pid, const DecisionRecord& record) {
     }
     args += "]";
   }
-  std::string body = common_fields("i", pid, /*tid=*/1, record.t_ms);
+  std::string body = common_fields("i", slot.base, /*tid=*/1, record.t_ms);
   body += ",\"s\":\"p\",\"name\":\"hardware_selection\",\"args\":{" + args + "}";
   stream.emit(body);
 }
 
-void emit_rep(EventStream& stream, const Tracer& tracer, int rep,
+void emit_rep(EventStream& stream, const Tracer& tracer, const Slot& slot,
               const std::string& label) {
-  const int base = rep * kPidsPerRep;
-  const std::string suffix =
-      (label.empty() ? std::string() : label + " ") + "rep " + std::to_string(rep);
+  const int base = slot.base;
+  const std::string suffix = (label.empty() ? std::string() : label + " ") +
+                             "rep " + std::to_string(slot.rep);
 
   emit_metadata(stream, base, 0, "process_name", "paldia framework (" + suffix + ")");
   emit_metadata(stream, base, 0, "thread_name", "requests/framework");
   emit_metadata(stream, base, 1, "thread_name", "scheduler decisions");
 
-  // Name only node processes that actually carry events (deterministic:
-  // derived from the recorded event sequence).
+  // Name only node processes that batches or requests ran on
+  // (deterministic: derived from the recorded event sequence). The names
+  // map each node label back to its catalog index for offline readers.
   std::set<int> used_nodes;
   for (const auto& event : tracer.events()) {
-    if (event.type == TraceEvent::Type::kBatch && event.node >= 0) {
+    if ((event.type == TraceEvent::Type::kBatch ||
+         event.type == TraceEvent::Type::kRequest) &&
+        event.node >= 0) {
       used_nodes.insert(event.node);
     }
   }
   for (const int node : used_nodes) {
     const int pid = base + 1 + node;
     emit_metadata(stream, pid, 0, "process_name",
-                  std::string(hw::node_type_name(hw::NodeType(node))) + " (" +
-                      suffix + ")");
+                  slot.node(node) + " (" + suffix + ")");
     for (const auto mode : {cluster::ShareMode::kSpatial, cluster::ShareMode::kTemporal,
                             cluster::ShareMode::kCpu}) {
       emit_metadata(stream, pid, lane_tid(mode), "thread_name", lane_name(mode));
@@ -208,7 +184,7 @@ void emit_rep(EventStream& stream, const Tracer& tracer, int rep,
     switch (event.type) {
       case TraceEvent::Type::kRequest:
         emit_request_async(stream, base, event, "b", event.start_ms,
-                           request_args(event, /*with_components=*/true));
+                           request_args(slot, event, /*with_components=*/true));
         break;
       case TraceEvent::Type::kPhase: {
         emit_request_async(stream, base, event, "b", event.start_ms, "");
@@ -250,7 +226,7 @@ void emit_rep(EventStream& stream, const Tracer& tracer, int rep,
         body += event.name;
         body += "\",\"args\":{\"value\":" + num(event.value);
         if (event.node >= 0) {
-          body += ",\"node\":\"" + json_escape(node_name(event.node)) + "\"";
+          body += ",\"node\":\"" + json_escape(slot.node(event.node)) + "\"";
         }
         if (event.id >= 0) body += ",\"id\":" + std::to_string(event.id);
         if (event.model >= 0) {
@@ -285,7 +261,7 @@ void emit_rep(EventStream& stream, const Tracer& tracer, int rep,
     }
   }
 
-  for (const auto& record : tracer.decisions()) emit_decision(stream, base, record);
+  for (const auto& record : tracer.decisions()) emit_decision(stream, slot, record);
 
   if (tracer.dropped_events() > 0 || tracer.dropped_decisions() > 0) {
     std::string body = common_fields("i", base, /*tid=*/0, 0.0);
@@ -301,8 +277,7 @@ void emit_rep(EventStream& stream, const Tracer& tracer, int rep,
 // costs read directly off the lane. These are host wall-clock aggregates —
 // nondeterministic, and deliberately emitted without "batch_id" so the
 // report extractor's batch parser skips them.
-void emit_profile_lane(EventStream& stream, const Profiler& profiler, int rep) {
-  const int pid = rep * kPidsPerRep;
+void emit_profile_lane(EventStream& stream, const Profiler& profiler, int pid) {
   emit_metadata(stream, pid, 2, "thread_name", "self-profile");
   double cursor_ms = 0.0;
   for (int i = 0; i < kProfilePhaseCount; ++i) {
@@ -327,8 +302,9 @@ void emit_profile_lane(EventStream& stream, const Profiler& profiler, int rep) {
 // framework process, tid 3, spanning open -> resolve. Fully deterministic
 // (simulated time), but deliberately emitted without "batch_id" so the
 // report extractor's batch parser skips the lane, like the profile lane.
-void emit_health_lane(EventStream& stream, const HealthEngine& engine, int rep) {
-  const int pid = rep * kPidsPerRep;
+void emit_health_lane(EventStream& stream, const HealthEngine& engine,
+                      const Slot& slot) {
+  const int pid = slot.base;
   emit_metadata(stream, pid, 3, "thread_name", "health");
   for (const AlertRecord& record : engine.alerts()) {
     std::string body = common_fields("X", pid, /*tid=*/3, record.open_ms);
@@ -338,7 +314,7 @@ void emit_health_lane(EventStream& stream, const HealthEngine& engine, int rep) 
     body += "\",\"args\":{\"detector\":\"";
     body += health_detector_name(record.detector);
     body += "\",\"model\":\"" + json_escape(model_name(record.model)) +
-            "\",\"node\":\"" + json_escape(node_name(record.node)) +
+            "\",\"node\":\"" + json_escape(slot.node(record.node)) +
             "\",\"fire_ms\":" + num(record.fire_ms) +
             ",\"resolved_at_end\":" + (record.resolved_at_end ? "true" : "false") +
             ",\"peak_severity\":" + num(record.peak_severity) +
@@ -357,19 +333,27 @@ void write_chrome_trace(std::ostream& out, const RunTrace& trace,
                         const std::string& label) {
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   EventStream stream(out);
+  // One pid block per slot, wide enough for the largest slot catalog: the
+  // framework process, then one process per node.
+  std::size_t widest = 0;
+  for (const auto& names : trace.node_names) widest = std::max(widest, names.size());
+  const int block = 1 + static_cast<int>(widest);
+  const auto slot = [&](std::size_t rep) {
+    return Slot{trace, rep, static_cast<int>(rep) * block};
+  };
   for (std::size_t rep = 0; rep < trace.reps.size(); ++rep) {
     if (trace.reps[rep] == nullptr) continue;
-    emit_rep(stream, *trace.reps[rep], static_cast<int>(rep), label);
+    emit_rep(stream, *trace.reps[rep], slot(rep), label);
   }
   for (std::size_t rep = 0; rep < trace.profiles.size(); ++rep) {
     const Profiler* profiler = trace.profiles[rep].get();
     if (profiler == nullptr || profiler->empty()) continue;
-    emit_profile_lane(stream, *profiler, static_cast<int>(rep));
+    emit_profile_lane(stream, *profiler, slot(rep).base);
   }
   for (std::size_t rep = 0; rep < trace.healths.size(); ++rep) {
     const HealthEngine* engine = trace.healths[rep].get();
     if (engine == nullptr || engine->alerts().empty()) continue;
-    emit_health_lane(stream, *engine, static_cast<int>(rep));
+    emit_health_lane(stream, *engine, slot(rep));
   }
   // Truncation is surfaced in machine-readable form: an analyzer must be
   // able to tell a complete trace from one whose ring buffers overflowed.

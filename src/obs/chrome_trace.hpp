@@ -1,12 +1,14 @@
 // Chrome trace-event JSON export (loadable in Perfetto / chrome://tracing).
 //
-// Layout: each repetition gets a block of process ids. Within a repetition,
-// pid base+0 is the framework process — request lifecycle spans are nestable
-// async events (cat "request", id = request id), scheduler decisions are
-// instant events with the full candidate sweep in args, counters/gauges are
-// "C" events — and pid base+1+node is one process per hardware node whose
+// Layout: each repetition (slot) gets a block of 1 + N process ids, N being
+// the largest slot catalog's node count. Within a slot, pid base+0 is the
+// framework process — request lifecycle spans are nestable async events
+// (cat "request", id = request id), scheduler decisions are instant events
+// with the full candidate sweep in args, counters/gauges are "C" events —
+// and pid base+1+node is one process per node of the slot's catalog whose
 // threads are the device lanes (MPS / time-shared / CPU), carrying the batch
-// execution slices.
+// execution slices. Every node label is the slot catalog's name
+// (RunTrace::node_name).
 //
 // Output is deterministic: events are serialized in repetition order, in
 // each tracer's recording order, with fixed-precision timestamps — the

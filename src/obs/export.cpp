@@ -1,47 +1,18 @@
 #include "src/obs/export.hpp"
 
 #include <cctype>
-#include <cmath>
-#include <cstdio>
 #include <ostream>
 
+#include "src/common/json.hpp"
 #include "src/common/log.hpp"
-#include "src/hw/node_spec.hpp"
 #include "src/models/model_spec.hpp"
 #include "src/telemetry/slo_tracker.hpp"
 
 namespace paldia::obs {
 namespace {
 
-std::string num(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.10g", value);
-  return buf;
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using common::json_escape;
+constexpr auto num = common::json_number;
 
 std::string csv_escape(const std::string& cell) {
   // \r must quote too: a bare CR inside a cell splits the row for any
@@ -232,17 +203,18 @@ void DecisionLogWriter::write(const RunTrace& trace, const std::string& scheme,
   for (std::size_t rep = 0; rep < trace.reps.size(); ++rep) {
     if (trace.reps[rep] == nullptr) continue;
     for (const auto& record : trace.reps[rep]->decisions()) {
-      write_record(record, static_cast<int>(rep), scheme, scenario);
+      write_record(trace, record, rep, scheme, scenario);
     }
   }
   out_->flush();
 }
 
-void DecisionLogWriter::write_record(const DecisionRecord& record, int rep,
+void DecisionLogWriter::write_record(const RunTrace& trace,
+                                     const DecisionRecord& record, std::size_t rep,
                                      const std::string& scheme,
                                      const std::string& scenario) {
-  const auto node = [](hw::NodeType type) {
-    return std::string(hw::node_type_name(type));
+  const auto node = [&](hw::NodeType type) {
+    return trace.node_name(rep, hw::node_index(type));
   };
   if (format_ == ExportFormat::kCsv) {
     if (!header_written_) {
@@ -331,7 +303,8 @@ void RollupWriter::write(const RunTrace& trace, const std::string& run) {
     const RollupAggregator* rollup = trace.rollups[rep].get();
     if (rollup == nullptr) continue;
     for (const auto& [key, cell] : rollup->cells()) {
-      write_cell(key, cell, rollup->config(), static_cast<int>(rep), run);
+      write_cell(key, cell, rollup->config(), static_cast<int>(rep),
+                 trace.node_name(rep, key.node), run);
     }
   }
   out_->flush();
@@ -339,14 +312,10 @@ void RollupWriter::write(const RunTrace& trace, const std::string& run) {
 
 void RollupWriter::write_cell(const RollupKey& key, const RollupCell& cell,
                               const RollupConfig& config, int rep,
-                              const std::string& run) {
+                              const std::string& node, const std::string& run) {
   const std::string model =
       key.model >= 0 && key.model < models::kModelCount
           ? std::string(models::model_id_name(models::ModelId(key.model)))
-          : std::string();
-  const std::string node =
-      key.node >= 0 && key.node < hw::kNodeTypeCount
-          ? std::string(hw::node_type_name(hw::NodeType(key.node)))
           : std::string();
   const TimeMs window_start = key.window * config.window_ms;
   const SketchSummary latency = cell.latency.summary();
@@ -449,7 +418,8 @@ void AlertWriter::write(const RunTrace& trace, const std::string& run) {
     const HealthEngine* engine = trace.healths[rep].get();
     if (engine == nullptr) continue;
     for (const AlertRecord& record : engine->alerts()) {
-      write_alert(record, static_cast<int>(rep), run);
+      write_alert(record, static_cast<int>(rep), trace.node_name(rep, record.node),
+                  run);
     }
     write_summary(*engine, static_cast<int>(rep), run);
   }
@@ -467,14 +437,10 @@ void AlertWriter::write_header() {
 }
 
 void AlertWriter::write_alert(const AlertRecord& record, int rep,
-                              const std::string& run) {
+                              const std::string& node, const std::string& run) {
   const std::string model =
       record.model >= 0 && record.model < models::kModelCount
           ? std::string(models::model_id_name(models::ModelId(record.model)))
-          : std::string();
-  const std::string node =
-      record.node >= 0 && record.node < hw::kNodeTypeCount
-          ? std::string(hw::node_type_name(hw::NodeType(record.node)))
           : std::string();
   const char* detector = health_detector_name(record.detector);
   const std::string_view blame = telemetry::violation_cause_name(record.blame);

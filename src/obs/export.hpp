@@ -61,7 +61,8 @@ class DecisionLogWriter {
              const std::string& scenario);
 
  private:
-  void write_record(const DecisionRecord& record, int rep, const std::string& scheme,
+  void write_record(const RunTrace& trace, const DecisionRecord& record,
+                    std::size_t rep, const std::string& scheme,
                     const std::string& scenario);
 
   std::unique_ptr<std::ofstream> file_;
@@ -90,7 +91,8 @@ class RollupWriter {
 
  private:
   void write_cell(const RollupKey& key, const RollupCell& cell,
-                  const RollupConfig& config, int rep, const std::string& run);
+                  const RollupConfig& config, int rep, const std::string& node,
+                  const std::string& run);
 
   std::unique_ptr<std::ofstream> file_;
   std::ostream* out_ = nullptr;
@@ -118,7 +120,8 @@ class AlertWriter {
 
  private:
   void write_header();
-  void write_alert(const AlertRecord& record, int rep, const std::string& run);
+  void write_alert(const AlertRecord& record, int rep, const std::string& node,
+                   const std::string& run);
   void write_summary(const HealthEngine& engine, int rep, const std::string& run);
 
   std::unique_ptr<std::ofstream> file_;

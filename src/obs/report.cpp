@@ -10,7 +10,6 @@
 #include <unordered_map>
 
 #include "src/common/table.hpp"
-#include "src/hw/node_spec.hpp"
 #include "src/models/model_spec.hpp"
 #include "src/models/zoo.hpp"
 
@@ -19,50 +18,15 @@ namespace {
 
 using telemetry::ViolationCause;
 
-constexpr int kPidsPerRep = 1 + hw::kNodeTypeCount;  // chrome_trace layout
 constexpr std::string_view kUnservedPrefix = "unserved:";
 constexpr std::string_view kSampledOutPrefix = "sampled_out:";
 
-std::string num(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.10g", value);
-  return buf;
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using common::json_escape;
+constexpr auto num = common::json_number;
 
 int model_index(std::string_view name) {
   for (int i = 0; i < models::kModelCount; ++i) {
     if (models::model_id_name(models::ModelId(i)) == name) return i;
-  }
-  return -1;
-}
-
-int node_index(std::string_view name) {
-  for (int i = 0; i < hw::kNodeTypeCount; ++i) {
-    if (hw::node_type_name(hw::NodeType(i)) == name) return i;
   }
   return -1;
 }
@@ -82,6 +46,13 @@ bool is_timeline_event(std::string_view name) {
 class RepBuilder {
  public:
   explicit RepBuilder(RepData& out) : out_(out) {}
+
+  /// Index of a node label in this repetition's catalog; -1 when unknown.
+  int node_of(std::string_view name) const {
+    const auto& names = out_.node_names;
+    const auto it = std::find(names.begin(), names.end(), name);
+    return name.empty() || it == names.end() ? -1 : static_cast<int>(it - names.begin());
+  }
 
   void on_request_begin(std::int64_t id, TimeMs arrival_ms, int model, int node,
                         DurationMs solo_ms, DurationMs interference_ms,
@@ -167,7 +138,7 @@ class RepBuilder {
       const std::size_t sep = rest.find(':');
       if (sep == std::string_view::npos) return;
       const int model = model_index(rest.substr(0, sep));
-      const int node = node_index(rest.substr(sep + 1));
+      const int node = node_of(rest.substr(sep + 1));
       if (model < 0 || node < 0) return;
       sampled_out_last_[{model, node}] = value;
     }
@@ -220,6 +191,7 @@ RunData extract_run_data(const RunTrace& trace, const std::string& label) {
   for (std::size_t rep = 0; rep < trace.reps.size(); ++rep) {
     const Tracer* tracer = trace.reps[rep].get();
     if (tracer == nullptr) continue;
+    if (rep < trace.node_names.size()) out.reps[rep].node_names = trace.node_names[rep];
     RepBuilder builder(out.reps[rep]);
 
     for (const TraceEvent& event : tracer->events()) {
@@ -246,12 +218,8 @@ RunData extract_run_data(const RunTrace& trace, const std::string& label) {
           break;
         }
         case TraceEvent::Type::kInstant:
-          builder.on_instant(
-              event.name, quantize_timestamp(event.start_ms),
-              event.node >= 0
-                  ? std::string(hw::node_type_name(hw::NodeType(event.node)))
-                  : std::string(),
-              event.id);
+          builder.on_instant(event.name, quantize_timestamp(event.start_ms),
+                             trace.node_name(rep, event.node), event.id);
           break;
         case TraceEvent::Type::kCounter: {
           const char* name =
@@ -303,13 +271,35 @@ bool parse_chrome_trace(const common::JsonValue& root, const std::string& label,
   }
   out->reps.resize(static_cast<std::size_t>(std::max(0, out->reps_declared)));
 
+  // Each repetition's pid block opens with its framework process, named
+  // "paldia framework (<suffix>)" with a suffix ending in "rep <n>"; pid
+  // base+1+i is named "<name of node i> (<suffix>)" for every node a
+  // request or batch ran on.
+  constexpr std::string_view kFramework = "paldia framework (";
+  struct Slot {
+    int rep = 0;
+    std::string suffix;
+  };
+  std::map<int, Slot> slots;  // base pid -> slot
+  for (const common::JsonValue& event : events->as_array()) {
+    const common::JsonValue* args = event.find("args");
+    if (event.string_or("name", "") != "process_name" || args == nullptr) continue;
+    const std::string name = args->string_or("name", "");
+    const std::size_t at = name.rfind("rep ");
+    if (!name.starts_with(kFramework) || at == std::string::npos) continue;
+    slots[static_cast<int>(event.number_or("pid", 0))] =
+        Slot{std::atoi(name.c_str() + at + 4),
+             name.substr(kFramework.size(), name.size() - kFramework.size() - 1)};
+  }
+  // Size for every slot up front: builders keep references into out->reps.
+  for (const auto& [pid, slot] : slots) {
+    out->reps.resize(std::max(out->reps.size(), static_cast<std::size_t>(slot.rep) + 1));
+  }
+
   // Builders are created on demand per repetition; events within a rep
   // appear in recording order (the exporter writes rep blocks sequentially).
   std::vector<std::unique_ptr<RepBuilder>> builders;
   const auto builder_for = [&](int rep) -> RepBuilder& {
-    if (static_cast<std::size_t>(rep) >= out->reps.size()) {
-      out->reps.resize(static_cast<std::size_t>(rep) + 1);
-    }
     if (static_cast<std::size_t>(rep) >= builders.size()) {
       builders.resize(static_cast<std::size_t>(rep) + 1);
     }
@@ -322,20 +312,33 @@ bool parse_chrome_trace(const common::JsonValue& root, const std::string& label,
 
   for (const common::JsonValue& event : events->as_array()) {
     const std::string ph = event.string_or("ph", "");
-    if (ph.empty() || ph == "M") continue;
     const int pid = static_cast<int>(event.number_or("pid", 0));
-    const int rep = pid / kPidsPerRep;
-    if (rep < 0) continue;
+    // The slot owning the pid: the nearest framework base at or below it.
+    auto owner = slots.upper_bound(pid);
+    if (ph.empty() || owner == slots.begin()) continue;
+    --owner;
+    const int base = owner->first;
+    const int rep = owner->second.rep;
     const TimeMs t_ms = event.number_or("ts", 0.0) / 1000.0;
     const std::string name = event.string_or("name", "");
     const common::JsonValue* args = event.find("args");
 
-    if (ph == "b" && name == "request") {
+    if (ph == "M") {
+      // A node process: record its name at its catalog index.
+      const std::string tail = " (" + owner->second.suffix + ")";
+      const std::string process = args != nullptr ? args->string_or("name", "") : "";
+      if (name != "process_name" || pid == base || !process.ends_with(tail)) continue;
+      auto& names = out->reps[static_cast<std::size_t>(rep)].node_names;
+      const auto index = static_cast<std::size_t>(pid - base - 1);
+      names.resize(std::max(names.size(), index + 1));
+      names[index] = process.substr(0, process.size() - tail.size());
+    } else if (ph == "b" && name == "request") {
       if (args == nullptr) continue;
-      builder_for(rep).on_request_begin(
+      RepBuilder& builder = builder_for(rep);
+      builder.on_request_begin(
           static_cast<std::int64_t>(event.number_or("id", -1)), t_ms,
           model_index(args->string_or("model", "")),
-          node_index(args->string_or("node", "")), args->number_or("solo_ms", 0.0),
+          builder.node_of(args->string_or("node", "")), args->number_or("solo_ms", 0.0),
           args->number_or("interference_ms", 0.0),
           args->number_or("cold_start_ms", 0.0));
     } else if (ph == "e") {
@@ -346,7 +349,7 @@ bool parse_chrome_trace(const common::JsonValue& root, const std::string& label,
       // slices carry batch_id, and profile timings must never reach the
       // deterministic report path.
       if (args == nullptr || args->find("batch_id") == nullptr) continue;
-      builder_for(rep).on_batch(pid % kPidsPerRep - 1, t_ms,
+      builder_for(rep).on_batch(pid - base - 1, t_ms,
                                 event.number_or("dur", 0.0) / 1000.0,
                                 args->number_or("submit_ms", 0.0),
                                 args->number_or("e2e_ms", 0.0));
@@ -358,8 +361,9 @@ bool parse_chrome_trace(const common::JsonValue& root, const std::string& label,
         const std::string final_node = args->string_or("final", "");
         for (const common::JsonValue& candidate : candidates->as_array()) {
           if (candidate.string_or("node", "") != final_node) continue;
-          builder_for(rep).on_decision(
-              t_ms, node_index(final_node), candidate.number_or("t_max_ms", 0.0),
+          RepBuilder& builder = builder_for(rep);
+          builder.on_decision(
+              t_ms, builder.node_of(final_node), candidate.number_or("t_max_ms", 0.0),
               static_cast<int>(candidate.number_or("best_y", 0)),
               candidate.bool_or("feasible", false),
               args->number_or("predicted_rps", 0.0),
@@ -400,13 +404,38 @@ AnalysisReport analyze(
   report.dropped_decisions = data.dropped_decisions;
   report.total.label = "total";
 
+  // Node rows key by catalog name, so nodes of different slot catalogs (a
+  // fleet's slices) never merge. Rows follow catalog index, then slot — a
+  // Table II run lists its nodes in Table II order. node_row[rep][i] is the
+  // row of node i of that repetition's catalog.
+  std::vector<std::string> node_labels;
+  std::vector<std::vector<int>> node_row(data.reps.size());
+  {
+    std::unordered_map<std::string, int> row_of_name;
+    std::size_t widest = 0;
+    for (std::size_t rep = 0; rep < data.reps.size(); ++rep) {
+      widest = std::max(widest, data.reps[rep].node_names.size());
+      node_row[rep].assign(data.reps[rep].node_names.size(), -1);
+    }
+    for (std::size_t i = 0; i < widest; ++i) {
+      for (std::size_t rep = 0; rep < data.reps.size(); ++rep) {
+        const std::vector<std::string>& names = data.reps[rep].node_names;
+        if (i >= names.size() || names[i].empty()) continue;
+        const auto [it, inserted] =
+            row_of_name.emplace(names[i], static_cast<int>(node_labels.size()));
+        if (inserted) node_labels.push_back(names[i]);
+        node_row[rep][i] = it->second;
+      }
+    }
+  }
+
   std::array<ReportBucket, models::kModelCount> per_model;
-  std::array<ReportBucket, hw::kNodeTypeCount> per_node;
+  std::vector<ReportBucket> per_node(node_labels.size());
   struct UsageAcc {
     std::uint64_t batches = 0;
     DurationMs busy_ms = 0.0;
   };
-  std::array<UsageAcc, hw::kNodeTypeCount> usage{};
+  std::vector<UsageAcc> usage(node_labels.size());
   DurationMs span_sum_ms = 0.0;
   std::vector<std::vector<CalibrationInterval>> all_ticks;
   all_ticks.reserve(data.reps.size());
@@ -414,11 +443,16 @@ AnalysisReport analyze(
   for (std::size_t rep = 0; rep < data.reps.size(); ++rep) {
     const RepData& rd = data.reps[rep];
     TimeMs span_ms = 0.0;
+    const auto row_of = [&](int node) {
+      return node >= 0 && static_cast<std::size_t>(node) < node_row[rep].size()
+                 ? node_row[rep][static_cast<std::size_t>(node)]
+                 : -1;
+    };
 
     for (LifecycleSample sample : rd.requests) {
       // Mirror AttributionEngine::observe_request exactly.
       const bool model_ok = sample.model >= 0 && sample.model < models::kModelCount;
-      const bool node_ok = sample.node >= 0 && sample.node < hw::kNodeTypeCount;
+      const int row = row_of(sample.node);
       sample.retried = rd.retried.count(sample.request_id) > 0;
       sample.blackout = rd.blackouts.overlaps(sample.arrival_ms, sample.start_ms);
       const DurationMs latency = sample.end_ms - sample.arrival_ms;
@@ -430,9 +464,9 @@ AnalysisReport analyze(
         ++per_model[sample.model].completed;
         per_model[sample.model].latency.insert(latency);
       }
-      if (node_ok) {
-        ++per_node[sample.node].completed;
-        per_node[sample.node].latency.insert(latency);
+      if (row >= 0) {
+        ++per_node[row].completed;
+        per_node[row].latency.insert(latency);
       }
       if (!model_ok || latency <= slo_by_model[sample.model]) continue;
 
@@ -442,9 +476,9 @@ AnalysisReport analyze(
       ++report.total.causes[index];
       ++per_model[sample.model].violations;
       ++per_model[sample.model].causes[index];
-      if (node_ok) {
-        ++per_node[sample.node].violations;
-        ++per_node[sample.node].causes[index];
+      if (row >= 0) {
+        ++per_node[row].violations;
+        ++per_node[row].causes[index];
       }
     }
 
@@ -471,9 +505,7 @@ AnalysisReport analyze(
       if (model >= 0 && model < models::kModelCount) {
         per_model[model].completed += count;
       }
-      if (node >= 0 && node < hw::kNodeTypeCount) {
-        per_node[node].completed += count;
-      }
+      if (const int row = row_of(node); row >= 0) per_node[row].completed += count;
     }
 
     // Calibration: fold batch observations into their decision interval
@@ -481,9 +513,9 @@ AnalysisReport analyze(
     std::vector<CalibrationInterval> ticks = rd.ticks;
     for (const RepData::BatchObs& batch : rd.batches) {
       span_ms = std::max(span_ms, batch.start_ms + batch.dur_ms);
-      if (batch.node >= 0 && batch.node < hw::kNodeTypeCount) {
-        usage[batch.node].batches += 1;
-        usage[batch.node].busy_ms += batch.dur_ms;
+      if (const int row = row_of(batch.node); row >= 0) {
+        usage[row].batches += 1;
+        usage[row].busy_ms += batch.dur_ms;
       }
       const int index = interval_containing(ticks, batch.submit_ms);
       if (index < 0) continue;
@@ -493,8 +525,9 @@ AnalysisReport analyze(
       interval.observed_max_e2e_ms = std::max(interval.observed_max_e2e_ms,
                                               batch.end_ms - batch.submit_ms);
     }
-    for (const CalibrationInterval& tick : ticks) {
+    for (CalibrationInterval& tick : ticks) {
       span_ms = std::max(span_ms, tick.t_ms);
+      tick.node = row_of(tick.node);  // calibration rows key by node row too
     }
     all_ticks.push_back(std::move(ticks));
 
@@ -517,6 +550,9 @@ AnalysisReport analyze(
           : 1.0;
   report.total.index = -1;
   report.calibration = summarize_calibration(all_ticks, slo_ms, rate_horizon_ms);
+  for (NodeCalibration& row : report.calibration.per_node) {
+    if (row.node >= 0) row.label = node_labels[static_cast<std::size_t>(row.node)];
+  }
 
   for (int i = 0; i < models::kModelCount; ++i) {
     if (per_model[i].completed == 0) continue;
@@ -524,17 +560,17 @@ AnalysisReport analyze(
     per_model[i].label = std::string(models::model_id_name(models::ModelId(i)));
     report.per_model.push_back(std::move(per_model[i]));
   }
-  for (int i = 0; i < hw::kNodeTypeCount; ++i) {
+  for (std::size_t i = 0; i < node_labels.size(); ++i) {
     if (per_node[i].completed == 0) continue;
-    per_node[i].index = i;
-    per_node[i].label = std::string(hw::node_type_name(hw::NodeType(i)));
+    per_node[i].index = static_cast<int>(i);
+    per_node[i].label = node_labels[i];
     report.per_node.push_back(std::move(per_node[i]));
   }
-  for (int i = 0; i < hw::kNodeTypeCount; ++i) {
+  for (std::size_t i = 0; i < node_labels.size(); ++i) {
     if (usage[i].batches == 0) continue;
     NodeUsage row;
-    row.node = i;
-    row.label = std::string(hw::node_type_name(hw::NodeType(i)));
+    row.node = static_cast<int>(i);
+    row.label = node_labels[i];
     row.batches = usage[i].batches;
     row.busy_ms = usage[i].busy_ms;
     row.occupancy = span_sum_ms > 0.0 ? usage[i].busy_ms / span_sum_ms : 0.0;
@@ -631,9 +667,7 @@ HealthReport summarize_health(const RunTrace& trace) {
           record.model >= 0 && record.model < models::kModelCount
               ? std::string(models::model_id_name(models::ModelId(record.model)))
               : std::string();
-      alert.node = record.node >= 0 && record.node < hw::kNodeTypeCount
-                       ? std::string(hw::node_type_name(hw::NodeType(record.node)))
-                       : std::string();
+      alert.node = trace.node_name(rep, record.node);
       alert.open_ms = quantize_number(record.open_ms);
       alert.fire_ms = quantize_number(record.fire_ms);
       alert.resolve_ms = quantize_number(record.resolve_ms);
@@ -746,12 +780,14 @@ bool analyze_rollup_stream(const std::string& text,
     return false;
   }
 
-  // Per-run accumulation in first-appearance order; dense per-model /
-  // per-node arrays compact into the report at the end, like analyze().
+  // Per-run accumulation in first-appearance order; the dense per-model
+  // array compacts into the report at the end, like analyze(). Node rows
+  // key by name in first-appearance order (the stream carries no catalog).
   struct RunAcc {
     AnalysisReport report;
     std::array<ReportBucket, models::kModelCount> per_model{};
-    std::array<ReportBucket, hw::kNodeTypeCount> per_node{};
+    std::vector<ReportBucket> per_node;
+    std::unordered_map<std::string, int> node_rows;
     int max_rep = -1;
   };
   std::vector<RunAcc> runs;
@@ -774,7 +810,16 @@ bool analyze_rollup_stream(const std::string& text,
                            static_cast<int>(row.number_or("rep", 0.0)));
 
     const int model = model_index(row.string_or("model", ""));
-    const int node = node_index(row.string_or("node", ""));
+    int node = -1;
+    if (std::string name = row.string_or("node", ""); !name.empty()) {
+      const auto [at, added] = acc.node_rows.emplace(
+          std::move(name), static_cast<int>(acc.per_node.size()));
+      if (added) {
+        acc.per_node.emplace_back();
+        acc.per_node.back().label = at->first;
+      }
+      node = at->second;
+    }
     const auto completed =
         static_cast<std::uint64_t>(row.number_or("completed", 0.0));
     const auto violations =
@@ -844,10 +889,9 @@ bool analyze_rollup_stream(const std::string& text,
           std::string(models::model_id_name(models::ModelId(i)));
       report.per_model.push_back(std::move(acc.per_model[i]));
     }
-    for (int i = 0; i < hw::kNodeTypeCount; ++i) {
+    for (std::size_t i = 0; i < acc.per_node.size(); ++i) {
       if (acc.per_node[i].completed == 0) continue;
-      acc.per_node[i].index = i;
-      acc.per_node[i].label = std::string(hw::node_type_name(hw::NodeType(i)));
+      acc.per_node[i].index = static_cast<int>(i);
       report.per_node.push_back(std::move(acc.per_node[i]));
     }
     out->push_back(std::move(report));
@@ -955,10 +999,7 @@ void render_report_text(std::ostream& out,
       Table table({"node", "intervals", "MAPE", "coverage", "mean pred ms",
                    "mean obs ms"});
       for (const NodeCalibration& row : calibration.per_node) {
-        table.add_row({row.node >= 0 && row.node < hw::kNodeTypeCount
-                           ? std::string(hw::node_type_name(hw::NodeType(row.node)))
-                           : std::to_string(row.node),
-                       std::to_string(row.intervals), Table::percent(row.mape),
+        table.add_row({row.label, std::to_string(row.intervals), Table::percent(row.mape),
                        Table::percent(row.coverage),
                        Table::num(row.mean_predicted_ms),
                        Table::num(row.mean_observed_ms)});
@@ -1015,14 +1056,8 @@ void render_report_text(std::ostream& out,
     }
 
     if (!report.profile.empty()) {
-      out << "\nSelf-profile (host wall clock, nondeterministic):\n";
-      Table table({"phase", "calls", "total ms", "mean us", "max us"});
-      for (const PhaseProfile& row : report.profile) {
-        table.add_row({row.phase, std::to_string(row.calls),
-                       Table::num(row.total_ms), Table::num(row.mean_us),
-                       Table::num(row.max_us)});
-      }
-      table.print(out);
+      out << "\n";
+      render_profile_text(out, report.profile);
     }
 
     if (!report.switch_timeline.empty()) {
@@ -1043,6 +1078,16 @@ void render_report_text(std::ostream& out,
     }
     out << "\n";
   }
+}
+
+void render_profile_text(std::ostream& out, const std::vector<PhaseProfile>& rows) {
+  out << "Self-profile (host wall clock, nondeterministic):\n";
+  Table table({"phase", "calls", "total ms", "mean us", "max us"});
+  for (const PhaseProfile& row : rows) {
+    table.add_row({row.phase, std::to_string(row.calls), Table::num(row.total_ms),
+                   Table::num(row.mean_us), Table::num(row.max_us)});
+  }
+  table.print(out);
 }
 
 // --- JSON rendering ---------------------------------------------------------
@@ -1120,11 +1165,7 @@ void write_report_json(std::ostream& out, const std::vector<AnalysisReport>& run
     for (std::size_t i = 0; i < calibration.per_node.size(); ++i) {
       const NodeCalibration& row = calibration.per_node[i];
       if (i > 0) out << ",";
-      out << "{\"node\":\""
-          << json_escape(row.node >= 0 && row.node < hw::kNodeTypeCount
-                             ? std::string(hw::node_type_name(hw::NodeType(row.node)))
-                             : std::to_string(row.node))
-          << "\",\"intervals\":" << row.intervals << ",\"mape\":" << num(row.mape)
+      out << "{\"node\":\"" << json_escape(row.label) << "\",\"intervals\":" << row.intervals << ",\"mape\":" << num(row.mape)
           << ",\"feasible_intervals\":" << row.feasible_intervals
           << ",\"coverage\":" << num(row.coverage)
           << ",\"mean_predicted_ms\":" << num(row.mean_predicted_ms)

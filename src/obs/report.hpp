@@ -41,8 +41,12 @@ double quantize_timestamp(TimeMs ms);
 double quantize_number(double value);
 
 /// Everything analyze() needs about one repetition, in exporter-quantized
-/// form (see header comment).
+/// form (see header comment). Node tags are indices into node_names.
 struct RepData {
+  /// The repetition's catalog names by node index. Inline: the whole slot
+  /// catalog (RunTrace::node_names). Offline: the nodes the trace names —
+  /// every node a request or batch ran on — with "" in the gaps.
+  std::vector<std::string> node_names;
   std::vector<LifecycleSample> requests;  // retried/blackout flags unset
   std::unordered_set<std::int64_t> retried;
   BlackoutWindows blackouts;
@@ -80,8 +84,8 @@ struct RunData {
 
 /// Attribution cell for one model or node (or the run total).
 struct ReportBucket {
-  std::string label;
-  int index = -1;  // model/node index; -1 for the total
+  std::string label;  // model or node name; node rows key by it
+  int index = -1;  // model index / the run's node row; -1 for the total
   std::uint64_t completed = 0;
   std::uint64_t violations = 0;
   telemetry::ViolationCauseCounts causes{};
@@ -89,7 +93,7 @@ struct ReportBucket {
 };
 
 struct NodeUsage {
-  int node = -1;
+  int node = -1;  // the run's node row (ReportBucket::index)
   std::string label;
   std::uint64_t batches = 0;
   DurationMs busy_ms = 0.0;
@@ -166,10 +170,13 @@ struct AnalysisReport {
   std::uint64_t sampled_out = 0;
   double compliance = 1.0;               // 1 - violations / completed
   std::vector<ReportBucket> per_model;   // model index ascending, non-empty
-  std::vector<ReportBucket> per_node;    // node index ascending, non-empty
+  /// One row per distinct node name, non-empty, ordered by catalog index
+  /// then repetition (Table II runs: Table II order). The calibration and
+  /// node_usage node rows follow the same order.
+  std::vector<ReportBucket> per_node;
 
   CalibrationSummary calibration;
-  std::vector<NodeUsage> node_usage;     // node index ascending, non-empty
+  std::vector<NodeUsage> node_usage;     // per_node order, non-empty
   std::vector<TimelineEntry> switch_timeline;  // rep order, then time order
   std::vector<PhaseProfile> profile;     // --profile only; else empty
   HealthReport health;                   // --alerts-out only; else disabled
@@ -180,8 +187,9 @@ struct AnalysisReport {
 RunData extract_run_data(const RunTrace& trace, const std::string& label);
 
 /// Offline producer: RunData from a parsed Chrome-trace JSON document
-/// (write_chrome_trace output). Returns false and sets `error` when the
-/// document is not a trace export.
+/// (write_chrome_trace output). Node labels and each repetition's pid block
+/// come from the trace's process-name metadata. Returns false and sets
+/// `error` when the document is not a trace export.
 bool parse_chrome_trace(const common::JsonValue& root, const std::string& label,
                         RunData* out, std::string* error);
 
@@ -216,7 +224,8 @@ bool analyze_alert_stream(const std::string& text,
 
 /// Rollup-only consumer: rebuild per-run AnalysisReports from a rollup
 /// JSONL stream (RollupWriter output) without any full trace. Rows group by
-/// their "run" label in first-appearance order. Only the attribution
+/// their "run" label in first-appearance order; node rows key by name in
+/// first-appearance order (the stream carries no catalog index). Only the attribution
 /// sections are recoverable — compliance, violation/cause counts, and
 /// latency sketches (rebuilt exactly from each row's sparse histogram);
 /// calibration / node usage / switch timeline need the full trace and stay
@@ -227,6 +236,9 @@ bool analyze_rollup_stream(const std::string& text,
 
 /// Human-readable multi-section report (tables + timeline).
 void render_report_text(std::ostream& out, const std::vector<AnalysisReport>& runs);
+
+/// The report's "Self-profile" section on its own (header line + table).
+void render_profile_text(std::ostream& out, const std::vector<PhaseProfile>& rows);
 
 /// Machine-readable report: {"runs":[...]} with a fixed key order, numbers
 /// formatted with "%.10g" — byte-identical for identical report structs.

@@ -1,9 +1,9 @@
 // Bounded-memory streaming quantile sketch for per-model / per-node latency
-// distributions inside the attribution engine.
+// distributions in the attribution engine, the rollup cells and the report.
 //
-// The attribution engine keeps one sketch per (model) and per (node) bucket —
-// up to kModelCount + kNodeTypeCount live sketches per repetition — so the
-// memory bound matters more than ultimate precision. We reuse the log-linear
+// The attribution engine keeps one sketch per model plus the total, and the
+// report and every rollup window one per model and per node of the run's
+// catalogs, so the memory bound matters more than ultimate precision. We reuse the log-linear
 // Histogram (0.25 ms linear buckets below 512 ms, exponential above): its
 // error is < 0.5 ms in the region a 200 ms SLO cares about, and merge() lets
 // the per-rep sketches fold into one run-level distribution deterministically

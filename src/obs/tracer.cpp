@@ -80,10 +80,9 @@ bool Tracer::sample_keep(std::int64_t request_id, models::ModelId model,
                                           : kTimeNever;
   const bool violated = end_ms - arrival_ms > slo;
   if (sampler_.keep(request_id, violated)) return true;
-  const auto n = static_cast<int>(node);
-  if (m >= 0 && m < models::kModelCount && n >= 0 && n < hw::kNodeTypeCount) {
-    ++sampled_out_[static_cast<std::size_t>(m) * hw::kNodeTypeCount +
-                   static_cast<std::size_t>(n)];
+  const auto n = static_cast<std::size_t>(node);
+  if (m >= 0 && m < models::kModelCount && n < node_names_.size()) {
+    ++sampled_out_[static_cast<std::size_t>(m) * node_names_.size() + n];
   }
   ++sampled_out_total_;
   return false;
@@ -243,15 +242,14 @@ void Tracer::gauge(const char* name, TimeMs now, double value, int model_tag) {
 void Tracer::flush_sampled_out_counters() {
   if (sampled_out_total_ == 0) return;
   for (int m = 0; m < models::kModelCount; ++m) {
-    for (int n = 0; n < hw::kNodeTypeCount; ++n) {
+    for (std::size_t n = 0; n < node_names_.size(); ++n) {
       const std::uint64_t dropped =
-          sampled_out_[static_cast<std::size_t>(m) * hw::kNodeTypeCount +
-                       static_cast<std::size_t>(n)];
+          sampled_out_[static_cast<std::size_t>(m) * node_names_.size() + n];
       if (dropped == 0) continue;
       std::string key = "sampled_out:";
       key += models::model_id_name(static_cast<models::ModelId>(m));
       key += ':';
-      key += hw::node_type_name(static_cast<hw::NodeType>(n));
+      key += node_names_[n];
       counters_[key] = static_cast<double>(dropped);  // cumulative, not +=
     }
   }
@@ -295,6 +293,34 @@ void Tracer::end_decision(hw::NodeType final_choice, bool switch_begun) {
   open_decision_->final_choice = final_choice;
   open_decision_->switch_begun = switch_begun;
   open_decision_ = nullptr;
+}
+
+void RunTrace::clear_slots() {
+  node_names.clear();
+  reps.clear();
+  rollups.clear();
+  profiles.clear();
+  healths.clear();
+}
+
+void RunTrace::add_slot(const hw::Catalog& catalog) {
+  std::vector<std::string> names = catalog.names();
+  if (capture_events) reps.push_back(std::make_unique<Tracer>(config, names));
+  if (collect_rollups) {
+    rollups.push_back(std::make_unique<RollupAggregator>(rollup_config));
+  }
+  if (profile) profiles.push_back(std::make_unique<Profiler>());
+  if (collect_health) healths.push_back(std::make_unique<HealthEngine>(health_config));
+  node_names.push_back(std::move(names));
+}
+
+const std::string& RunTrace::node_name(std::size_t rep, int node) const {
+  static const std::string kNone;
+  if (rep >= node_names.size() || node < 0 ||
+      static_cast<std::size_t>(node) >= node_names[rep].size()) {
+    return kNone;
+  }
+  return node_names[rep][static_cast<std::size_t>(node)];
 }
 
 std::uint64_t RunTrace::dropped_events() const {

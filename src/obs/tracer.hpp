@@ -35,7 +35,7 @@
 
 #include "src/cluster/request.hpp"
 #include "src/common/units.hpp"
-#include "src/hw/node_spec.hpp"
+#include "src/hw/catalog.hpp"
 #include "src/models/model_spec.hpp"
 #include "src/obs/health.hpp"
 #include "src/obs/profiler.hpp"
@@ -132,8 +132,15 @@ struct DecisionRecord {
 
 class Tracer {
  public:
-  explicit Tracer(TracerConfig config = {})
-      : config_(config), sampler_(config.sample_rate, config.sampler_seed) {
+  /// `node_names` are the observed cluster's catalog names by node index;
+  /// they label the sampled-out counters (which are tallied only for nodes
+  /// the table covers).
+  explicit Tracer(TracerConfig config = {}, std::vector<std::string> node_names = {})
+      : config_(config),
+        sampler_(config.sample_rate, config.sampler_seed),
+        node_names_(std::move(node_names)),
+        sampled_out_(static_cast<std::size_t>(models::kModelCount) *
+                     node_names_.size()) {
     slo_ms_.fill(kTimeNever);
   }
   Tracer(const Tracer&) = delete;
@@ -261,15 +268,15 @@ class Tracer {
   std::uint64_t dropped_events_ = 0;
   std::uint64_t dropped_decisions_ = 0;
   std::uint64_t unbalanced_ = 0;
-  std::array<std::uint64_t,
-             static_cast<std::size_t>(models::kModelCount) * hw::kNodeTypeCount>
-      sampled_out_{};
+  std::vector<std::string> node_names_;
+  std::vector<std::uint64_t> sampled_out_;  // [model * node_names_.size() + node]
   std::uint64_t sampled_out_total_ = 0;
 };
 
-/// Per-repetition observation slots for one Runner::run call. Slots are
-/// created up front (rep order) and filled concurrently; exporters read them
-/// in slot order, so the serialized output is independent of thread count.
+/// Per-repetition observation slots for one Runner::run call (one per
+/// endpoint for FleetSim::run). Slots are created up front (rep order) and
+/// filled concurrently; exporters read them in slot order, so the serialized
+/// output is independent of thread count.
 struct RunTrace {
   /// Tracer slot configuration. Runner::run overwrites sample_rate from
   /// SchemeFactoryOptions so the --sample-rate flag is the single knob.
@@ -287,10 +294,23 @@ struct RunTrace {
   bool collect_health = false;
   RollupConfig rollup_config;
   HealthConfig health_config;
+  /// Each slot's catalog names by node index, copied when the slot is
+  /// allocated: a fleet's slice catalogs die before any exporter runs. The
+  /// records keep integer node tags; exporters label them through
+  /// node_name().
+  std::vector<std::vector<std::string>> node_names;
   std::vector<std::unique_ptr<Tracer>> reps;
   std::vector<std::unique_ptr<RollupAggregator>> rollups;
   std::vector<std::unique_ptr<Profiler>> profiles;
   std::vector<std::unique_ptr<HealthEngine>> healths;
+
+  /// Drop every slot, keeping the configuration.
+  void clear_slots();
+  /// Append one slot observing a cluster over `catalog`: copies its node
+  /// names and allocates one object per enabled stream.
+  void add_slot(const hw::Catalog& catalog);
+  /// Name of `node` in slot `rep`'s catalog; "" when either is out of range.
+  const std::string& node_name(std::size_t rep, int node) const;
 
   /// Total dropped events across repetitions.
   std::uint64_t dropped_events() const;

@@ -4,8 +4,6 @@ namespace paldia::telemetry {
 
 std::vector<CostBreakdownEntry> CostTracker::breakdown() const {
   std::vector<CostBreakdownEntry> entries;
-  // Bounded by the catalog, not kNodeTypeCount: generated catalogs can be
-  // larger than Table II and fleet slice catalogs smaller.
   for (int i = 0; i < static_cast<int>(cluster_->catalog().size()); ++i) {
     const auto type = hw::NodeType(i);
     const DurationMs held = cluster_->held_time_ms(type);

@@ -2,10 +2,11 @@
 // period, each held node's utilization since the previous sample feeds the
 // linear power model; energy integrates over the run. Host CPU activity on
 // GPU nodes is approximated as a fixed fraction of GPU activity (request
-// plumbing scales with serving work).
+// plumbing scales with serving work). Tracks every node type of the
+// cluster's catalog, whatever its size.
 #pragma once
 
-#include <array>
+#include <vector>
 
 #include "src/cluster/cluster.hpp"
 #include "src/hw/power_model.hpp"
@@ -30,10 +31,6 @@ class PowerTracker {
  private:
   void sample();
 
-  /// Catalog prefix the fixed-size accumulators cover (slice catalogs are
-  /// smaller than kNodeTypeCount; indexing past their nodes would be UB).
-  int tracked_types() const;
-
   sim::Simulator* simulator_;
   const cluster::Cluster* cluster_;
   DurationMs period_ms_;
@@ -41,7 +38,7 @@ class PowerTracker {
   TimeMs started_ms_ = 0.0;
   TimeMs last_sample_ms_ = 0.0;
   double energy_wms_ = 0.0;
-  std::array<DurationMs, hw::kNodeTypeCount> last_busy_ms_{};
+  std::vector<DurationMs> last_busy_ms_;  // per node type of the catalog
 
   static constexpr double kHostCpuShareOfGpuWork = 0.25;
 };

@@ -1,9 +1,10 @@
 // Node utilization (Fig. 8): utilization = device non-idle time as a
 // fraction of the time the node type was *held* by the scheme. Sampled so
-// hold intervals and busy intervals line up.
+// hold intervals and busy intervals line up. One accumulator per node type
+// of the cluster's catalog, sized at construction.
 #pragma once
 
-#include <array>
+#include <vector>
 
 #include "src/cluster/cluster.hpp"
 #include "src/sim/simulator.hpp"
@@ -18,7 +19,7 @@ class UtilTracker {
   void arm(TimeMs end_ms);
 
   /// Busy fraction of the node type over the time it was held; 0 when the
-  /// type was never held.
+  /// type was never held or is not in the cluster's catalog.
   double utilization(hw::NodeType type) const;
 
   /// Aggregate over all GPU (resp. CPU) node types, weighted by held time.
@@ -28,19 +29,15 @@ class UtilTracker {
  private:
   void sample();
 
-  /// Tracked node types: the catalog prefix the fixed-size accumulators
-  /// cover. Slice catalogs (fleet endpoints) are smaller than
-  /// kNodeTypeCount; indexing past their cluster's nodes would be UB.
-  int tracked_types() const;
-
   sim::Simulator* simulator_;
   const cluster::Cluster* cluster_;
   DurationMs period_ms_;
   TimeMs end_ms_ = 0.0;
   TimeMs last_sample_ms_ = 0.0;
-  std::array<DurationMs, hw::kNodeTypeCount> busy_while_held_ms_{};
-  std::array<DurationMs, hw::kNodeTypeCount> held_ms_{};
-  std::array<DurationMs, hw::kNodeTypeCount> last_busy_ms_{};
+  // Per node type, sized from the cluster's catalog.
+  std::vector<DurationMs> busy_while_held_ms_;
+  std::vector<DurationMs> held_ms_;
+  std::vector<DurationMs> last_busy_ms_;
 };
 
 }  // namespace paldia::telemetry

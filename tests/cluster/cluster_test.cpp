@@ -116,7 +116,7 @@ TEST(Cluster, ColdStartRollup) {
 TEST(Cluster, OneNodePerTableIIType) {
   sim::Simulator simulator;
   Cluster cluster(simulator, Rng(12));
-  for (int i = 0; i < hw::kNodeTypeCount; ++i) {
+  for (int i = 0; i < static_cast<int>(cluster.catalog().size()); ++i) {
     EXPECT_EQ(cluster.node(hw::NodeType(i)).type(), hw::NodeType(i));
   }
 }

@@ -1,7 +1,8 @@
-// Unit tests for the core::Fleet coordinator: catalog slicing, the
-// deterministic splitmix64 request router, thread-count independence, and
-// workload splitting (request conservation across per-endpoint sub-traces). The
-// end-to-end fleet byte-identity contract lives in the integration suite.
+// Unit tests for the core::Fleet coordinator: catalog slicing (a partition of
+// every node), the deterministic splitmix64 request router, thread-count
+// independence, and workload splitting (request conservation across
+// per-endpoint sub-traces). The end-to-end fleet byte-identity contract lives
+// in the integration suite.
 #include "src/core/fleet.hpp"
 
 #include <gtest/gtest.h>
@@ -39,7 +40,6 @@ TEST(SliceCatalog, SlicesAreDisjointSortedAndBounded) {
   std::set<int> seen;
   for (const auto& slice : slices) {
     ASSERT_FALSE(slice.empty());
-    ASSERT_LE(static_cast<int>(slice.size()), hw::kNodeTypeCount);
     for (std::size_t i = 0; i < slice.size(); ++i) {
       EXPECT_GE(slice[i], 0);
       EXPECT_LT(slice[i], static_cast<int>(catalog.size()));
@@ -47,12 +47,34 @@ TEST(SliceCatalog, SlicesAreDisjointSortedAndBounded) {
       EXPECT_TRUE(seen.insert(slice[i]).second) << "node dealt twice";
     }
   }
+  EXPECT_EQ(seen.size(), catalog.size()) << "slices must partition the catalog";
+}
+
+TEST(SliceCatalog, Gen64OverFourEndpointsDealsEveryGpu) {
+  // fleet_sim --catalog=gen:64 --endpoints=4: 25 CPUs and 39 GPUs. Every
+  // node, GPUs included, lands in exactly one slice.
+  const hw::Catalog catalog = hw::generate_catalog({.node_count = 64});
+  int gpus = 0;
+  for (int i = 0; i < static_cast<int>(catalog.size()); ++i) {
+    gpus += catalog.spec(hw::NodeType(i)).is_gpu() ? 1 : 0;
+  }
+  ASSERT_EQ(gpus, 39);
+  std::set<int> seen;
+  int gpus_dealt = 0;
+  for (const auto& slice : slice_catalog(catalog, 4)) {
+    for (const int node : slice) {
+      EXPECT_TRUE(seen.insert(node).second) << "node dealt twice";
+      gpus_dealt += catalog.spec(hw::NodeType(node)).is_gpu() ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(seen.size(), 64u);
+  EXPECT_EQ(gpus_dealt, gpus);
 }
 
 TEST(SliceCatalog, EverySliceGetsACpuNode) {
-  // CPUs are dealt before GPUs and truncation keeps the front of the deal,
-  // so as long as the catalog has one CPU per endpoint, every slice can
-  // start on a CPU node (the Fleet ctor relies on this for initial_node).
+  // CPUs are dealt before GPUs, so as long as the catalog has one CPU per
+  // endpoint, every slice can start on a CPU node (the Fleet ctor starts
+  // each endpoint on its slice's cheapest node).
   const hw::Catalog catalog = generated(64);
   int cpu_nodes = 0;
   for (int i = 0; i < static_cast<int>(catalog.size()); ++i) {
@@ -142,6 +164,30 @@ TEST(Fleet, AddWorkloadConservesRequestsAcrossEndpoints) {
   EXPECT_EQ(sum, global.total_requests());
   // ~12k arrivals over 6 endpoints: the router must spread the load.
   EXPECT_EQ(endpoints_with_traffic, fleet.endpoint_count());
+}
+
+TEST(Fleet, Gen64OverFourEndpointsConservesRoutedArrivals) {
+  // Every routed arrival is completed or counted unserved at the drain cap
+  // (the framework records unserved requests as missed completions).
+  sim::Simulator simulator;
+  const hw::Catalog catalog = hw::generate_catalog({.node_count = 64});
+  FleetConfig config;  // default route seed: fleet_sim's scenario seed
+  config.endpoints = 4;
+  Fleet fleet(simulator, Rng(config.route_seed).fork("fleet"),
+              models::Zoo::instance(), catalog, config,
+              paldia_factory(models::Zoo::instance()));
+  trace::PoissonOptions poisson;
+  poisson.duration_ms = 60'000.0;
+  poisson.mean_rps = 20000.0 / 60.0;
+  poisson.seed = 4;
+  fleet.add_workload(models::ModelId::kResNet50, trace::make_poisson_trace(poisson));
+  fleet.run();
+  std::uint64_t accounted = 0;
+  for (int e = 0; e < fleet.endpoint_count(); ++e) {
+    accounted += fleet.framework(e).slo(models::ModelId::kResNet50).total();
+  }
+  EXPECT_GT(fleet.total_requests(), 19000u);
+  EXPECT_EQ(accounted, fleet.total_requests());
 }
 
 TEST(Fleet, WorkloadSplitIsIndependentOfThreadCount) {

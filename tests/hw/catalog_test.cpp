@@ -7,7 +7,8 @@ namespace {
 
 TEST(Catalog, HasAllSixTableIINodes) {
   const Catalog& catalog = Catalog::instance();
-  EXPECT_EQ(catalog.all().size(), static_cast<std::size_t>(kNodeTypeCount));
+  EXPECT_EQ(catalog.size(), 6u);
+  EXPECT_EQ(catalog.all().size(), 6u);
   EXPECT_EQ(catalog.spec(NodeType::kP3_2xlarge).instance, "p3.2xlarge");
   EXPECT_EQ(catalog.spec(NodeType::kM4_xlarge).instance, "m4.xlarge");
 }
@@ -34,7 +35,7 @@ TEST(Catalog, GpuNodesHaveGpuSpecs) {
 
 TEST(Catalog, ByCostAscendingOrdering) {
   const auto order = Catalog::instance().by_cost_ascending();
-  ASSERT_EQ(order.size(), static_cast<std::size_t>(kNodeTypeCount));
+  ASSERT_EQ(order.size(), 6u);
   EXPECT_EQ(order.front(), NodeType::kM4_xlarge);   // $0.20
   EXPECT_EQ(order.back(), NodeType::kP3_2xlarge);   // $3.06
   for (std::size_t i = 1; i < order.size(); ++i) {
@@ -80,8 +81,9 @@ TEST(Catalog, CustomCatalogRejectsEmpty) {
 }
 
 TEST(Catalog, NodeTypeNames) {
-  EXPECT_EQ(node_type_name(NodeType::kG3s_xlarge), "g3s.xlarge");
-  EXPECT_EQ(node_type_name(NodeType::kC6i_2xlarge), "c6i.2xlarge");
+  const Catalog& catalog = Catalog::instance();
+  EXPECT_EQ(catalog.name(NodeType::kG3s_xlarge), "g3s.xlarge");
+  EXPECT_EQ(catalog.name(NodeType::kC6i_2xlarge), "c6i.2xlarge");
 }
 
 }  // namespace

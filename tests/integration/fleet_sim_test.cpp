@@ -7,9 +7,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 
+#include "src/common/json.hpp"
 #include "src/exp/fleet_sim.hpp"
 #include "src/hw/catalog_gen.hpp"
 #include "src/obs/chrome_trace.hpp"
@@ -115,6 +118,106 @@ TEST(FleetSim, PooledVsSerialBitIdentical) {
   EXPECT_EQ(serial.report, pooled.report);
   EXPECT_EQ(serial.total_requests, pooled.total_requests);
   EXPECT_EQ(serial.unserved, pooled.unserved);
+}
+
+TEST(FleetSim, NodesCarryTheirCatalogNamesThroughEveryExport) {
+  // fleet_sim --catalog=gen:16 --endpoints=4: every endpoint serves its
+  // slice of the global catalog, so every exported node label must be a
+  // name of that catalog, candidate prices must be that node's price, and
+  // no two global nodes may share a report row.
+  const hw::Catalog catalog = hw::generate_catalog({.node_count = 16});
+  std::map<std::string, Dollars> price_of;
+  for (const hw::NodeSpec& spec : catalog.all()) {
+    price_of[spec.instance] = spec.price_per_hour;
+  }
+  ASSERT_EQ(price_of.size(), catalog.size()) << "catalog names must be unique";
+  const auto expect_catalog_name = [&](const std::string& name,
+                                       const std::string& where) {
+    EXPECT_EQ(price_of.count(name), 1u) << where << " label '" << name << "'";
+  };
+
+  FleetSim sim(models::Zoo::instance(), catalog);
+  const Scenario scenario = fleet_scenario();
+  obs::RunTrace trace;
+  trace.collect_rollups = true;
+  sim.run(scenario, SchemeId::kPaldia, kEndpoints, &trace);
+  ASSERT_EQ(trace.node_names.size(), static_cast<std::size_t>(kEndpoints));
+
+  std::ostringstream decisions;
+  obs::DecisionLogWriter(decisions, obs::ExportFormat::kJsonl)
+      .write(trace, "Paldia", scenario.name);
+  const auto decision_rows = common::parse_json_lines(decisions.str());
+  ASSERT_TRUE(decision_rows.ok) << decision_rows.error;
+  ASSERT_FALSE(decision_rows.rows.empty());
+  std::size_t candidates = 0;
+  for (const common::JsonValue& row : decision_rows.rows) {
+    for (const char* key : {"current", "chosen", "final"}) {
+      expect_catalog_name(row.string_or(key, ""), std::string("decision ") + key);
+    }
+    for (const common::JsonValue& candidate : row.find("candidates")->as_array()) {
+      const std::string node = candidate.string_or("node", "");
+      expect_catalog_name(node, "candidate");
+      if (price_of.count(node) == 0) continue;
+      EXPECT_EQ(candidate.number_or("price_per_hour", -1.0),
+                obs::quantize_number(price_of[node]))
+          << node;
+      ++candidates;
+    }
+  }
+  EXPECT_GT(candidates, 0u);
+
+  std::ostringstream rollups;
+  obs::RollupWriter(rollups, obs::ExportFormat::kJsonl).write(trace, scenario.name);
+  const auto rollup_rows = common::parse_json_lines(rollups.str());
+  ASSERT_TRUE(rollup_rows.ok) << rollup_rows.error;
+  for (const common::JsonValue& row : rollup_rows.rows) {
+    const std::string node = row.string_or("node", "");
+    if (!node.empty()) expect_catalog_name(node, "rollup");  // "" = unserved
+  }
+
+  // Distinct nodes that served a request, across all endpoints.
+  std::set<std::string> serving;
+  for (std::size_t e = 0; e < trace.reps.size(); ++e) {
+    for (const obs::TraceEvent& event : trace.reps[e]->events()) {
+      if (event.type == obs::TraceEvent::Type::kRequest) {
+        serving.insert(trace.node_name(e, event.node));
+      }
+    }
+  }
+  const obs::AnalysisReport report =
+      obs::analyze_with_zoo(obs::extract_run_data(trace, scenario.name));
+  std::set<std::string> rows;
+  for (const obs::ReportBucket& bucket : report.per_node) {
+    expect_catalog_name(bucket.label, "report per_node");
+    EXPECT_TRUE(rows.insert(bucket.label).second) << "merged row " << bucket.label;
+  }
+  EXPECT_EQ(rows, serving);
+  EXPECT_GT(serving.size(), static_cast<std::size_t>(kEndpoints))
+      << "endpoints should serve from more than one node each overall";
+  for (const obs::NodeUsage& usage : report.node_usage) {
+    expect_catalog_name(usage.label, "report node_usage");
+  }
+  for (const obs::NodeCalibration& row : report.calibration.per_node) {
+    expect_catalog_name(row.label, "report calibration");
+  }
+  for (const obs::TimelineEntry& entry : report.switch_timeline) {
+    expect_catalog_name(entry.node, "report switch timeline");
+  }
+
+  // The offline analyzer reads the same names back out of the trace.
+  std::ostringstream chrome;
+  obs::write_chrome_trace(chrome, trace, scenario.name);
+  const auto parsed = common::parse_json(chrome.str());
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  obs::RunData offline;
+  std::string error;
+  ASSERT_TRUE(obs::parse_chrome_trace(parsed.value, scenario.name, &offline, &error))
+      << error;
+  std::ostringstream inline_json;
+  std::ostringstream offline_json;
+  obs::write_report_json(inline_json, {report});
+  obs::write_report_json(offline_json, {obs::analyze_with_zoo(offline)});
+  EXPECT_EQ(inline_json.str(), offline_json.str());
 }
 
 TEST(FleetSim, RequestIdsUniqueAcrossEndpointTraces) {

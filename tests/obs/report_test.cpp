@@ -46,7 +46,8 @@ TEST(Quantize, NumberIsIdempotentAndSanitizesNonFinite) {
 RunTrace make_trace() {
   RunTrace trace;
   for (int rep = 0; rep < 2; ++rep) {
-    auto tracer = std::make_unique<Tracer>();
+    trace.add_slot(hw::Catalog::instance());
+    Tracer* tracer = trace.reps.back().get();
     const double base = rep * 10.0;  // desync the reps slightly
 
     // Compliant request.
@@ -100,8 +101,6 @@ RunTrace make_trace() {
         "unserved:" + std::string(models::model_id_name(models::ModelId::kResNet50));
     tracer->count(unserved_counter.c_str(), 2.0);
     tracer->sample_counters(base + 2000.0);
-
-    trace.reps.push_back(std::move(tracer));
   }
   return trace;
 }

@@ -208,8 +208,7 @@ RunTrace make_rollup_trace() {
   trace.capture_events = false;
   trace.collect_rollups = true;
   trace.rollup_config.window_ms = 1000.0;
-  trace.rollups.push_back(
-      std::make_unique<RollupAggregator>(trace.rollup_config));
+  trace.add_slot(hw::Catalog::instance());
   RollupAggregator& rollup = *trace.rollups.back();
   // 10 completions: 8 compliant, 2 violating (one cold start, one gateway
   // queue), plus 3 unserved — across two windows.
@@ -304,7 +303,8 @@ TEST(RollupRoundTrip, AnalyzeRollupStreamRebuildsAttribution) {
   EXPECT_EQ(report.per_model[0].completed, 13u);
   EXPECT_EQ(report.per_model[0].violations, 5u);
   ASSERT_EQ(report.per_node.size(), 1u);
-  EXPECT_EQ(report.per_node[0].index, kNode);
+  EXPECT_EQ(report.per_node[0].label,
+            hw::Catalog::instance().name(hw::NodeType(kNode)));
   // Node rows never see unserved requests (they never reached a node).
   EXPECT_EQ(report.per_node[0].completed, 10u);
   EXPECT_EQ(report.per_node[0].violations, 2u);

@@ -78,7 +78,7 @@ constexpr auto kNode = hw::NodeType::kG3s_xlarge;
 Tracer make_sampling_tracer(std::uint32_t rate) {
   TracerConfig config;
   config.sample_rate = rate;
-  return Tracer(config);
+  return Tracer(config, hw::Catalog::instance().names());
 }
 
 void record_one(Tracer& tracer, std::int64_t id, DurationMs latency_ms) {
@@ -106,7 +106,7 @@ TEST(TracerSampling, DropsAreTalliedExactly) {
   tracer.sample_counters(2000.0);
   const std::string key = std::string("sampled_out:") +
                           std::string(models::model_id_name(kModel)) + ":" +
-                          std::string(hw::node_type_name(kNode));
+                          std::string(hw::Catalog::instance().name(kNode));
   EXPECT_EQ(tracer.counter_value(key),
             static_cast<double>(tracer.sampled_out_total()));
 }
@@ -201,7 +201,7 @@ TEST(TracerCounters, SampledOutCountersAreCumulativeAcrossSamples) {
   }
   const std::string key = std::string("sampled_out:") +
                           std::string(models::model_id_name(kModel)) + ":" +
-                          std::string(hw::node_type_name(kNode));
+                          std::string(hw::Catalog::instance().name(kNode));
   tracer.sample_counters(1.0);
   const double first = tracer.counter_value(key);
   tracer.sample_counters(2.0);
