@@ -9,7 +9,6 @@
 //     literal Eq. 1) degenerates to all-spatial scheduling and loses
 //     compliance under saturation.
 #include "bench/bench_common.hpp"
-#include "src/core/paldia_policy.hpp"
 #include "src/trace/generators.hpp"
 
 using namespace paldia;
@@ -17,17 +16,12 @@ using namespace paldia;
 namespace {
 
 telemetry::RunMetrics run_paldia(const exp::Scenario& scenario,
-                                 exp::SchemeFactoryOptions factory_options,
-                                 ThreadPool* pool, bench::RunObserver& observer,
-                                 core::FrameworkConfig framework = {}) {
-  exp::Scenario local = scenario;
-  if (framework.initial_node || framework.autoscaler.keep_alive_ms !=
-                                    core::AutoscalerConfig{}.keep_alive_ms) {
-    local.framework = framework;
-  }
-  exp::Runner runner(models::Zoo::instance(), hw::Catalog::instance(), pool,
-                     factory_options);
-  return observer.run(runner, local, exp::SchemeId::kPaldia).combined;
+                                 const exp::SchemeFactoryOptions& factory_options,
+                                 const bench::BenchOptions& options,
+                                 bench::RunObserver& observer) {
+  exp::Runner runner(models::Zoo::instance(), hw::Catalog::instance(),
+                     &bench::shared_pool(options), factory_options);
+  return observer.run(runner, scenario, exp::SchemeId::kPaldia).combined;
 }
 
 }  // namespace
@@ -50,11 +44,7 @@ int main(int argc, char** argv) {
       exp::Scenario local = scenario;
       local.framework.autoscaler.keep_alive_ms = keep_alive;
       local.framework.autoscaler.min_containers = keep_alive == 0.0 ? 0 : 1;
-      exp::Runner runner(models::Zoo::instance(), hw::Catalog::instance(),
-                         &bench::shared_pool(options),
-                         bench::factory_options(options));
-      const auto metrics =
-          observer.run(runner, local, exp::SchemeId::kPaldia).combined;
+      const auto metrics = run_paldia(local, {}, options, observer);
       table.add_row({Table::num(keep_alive / 1000.0, 0) + " s",
                      std::to_string(metrics.cold_starts),
                      Table::percent(metrics.slo_compliance)});
@@ -76,10 +66,9 @@ int main(int argc, char** argv) {
     exhaustion.framework.initial_node = hw::NodeType::kP3_2xlarge;
     Table table({"beta", "SLO compliance", "P99"});
     for (const double beta : {0.0, 0.1, 0.2, 0.35}) {
-      exp::SchemeFactoryOptions factory_options = bench::factory_options(options);
-      factory_options.tmax_beta = beta;
-      const auto metrics = run_paldia(exhaustion, factory_options,
-                                      &bench::shared_pool(options), observer);
+      exp::SchemeFactoryOptions factory_options;
+      factory_options.paldia.tmax_beta = beta;
+      const auto metrics = run_paldia(exhaustion, factory_options, options, observer);
       table.add_row({Table::num(beta, 2), Table::percent(metrics.slo_compliance),
                      bench::ms(metrics.p99_latency_ms)});
     }
@@ -92,33 +81,11 @@ int main(int argc, char** argv) {
     std::cout << "--- 3. choose_best_HW performance band ---\n";
     Table table({"Band (ms)", "SLO compliance", "Cost"});
     for (const double band : {0.0, 50.0, 200.0}) {
-      exp::SchemeFactoryOptions factory_options = bench::factory_options(options);
-      exp::Runner runner(models::Zoo::instance(), hw::Catalog::instance(), nullptr,
-                         factory_options);
-      // The band lives in the policy config; rebuild via a local runner
-      // with a custom scenario is not enough — use PaldiaPolicyConfig
-      // through a dedicated runner-less run.
-      exp::Scenario local = scenario;
-      sim::Simulator simulator;
-      Rng rng(1234);
-      cluster::Cluster cluster(simulator, rng.fork("cluster"));
-      models::ProfileTable profile(hw::Catalog::instance());
-      core::PaldiaPolicyConfig config;
-      config.selection.performance_band_ms = band;
-      config.tmax_cache = options.tmax_cache;
-      auto policy = std::make_unique<core::PaldiaPolicy>(
-          models::Zoo::instance(), hw::Catalog::instance(), profile, nullptr, config);
-      core::FrameworkConfig framework_config = local.framework;
-      framework_config.initial_node = hw::NodeType::kC6i_2xlarge;
-      core::Framework framework(simulator, cluster, std::move(policy),
-                                rng.fork("framework"), models::Zoo::instance(),
-                                framework_config);
-      framework.add_workload(local.workloads[0].model, local.workloads[0].trace);
-      framework.run();
-      table.add_row({Table::num(band, 0),
-                     Table::percent(
-                         framework.slo(local.workloads[0].model).compliance()),
-                     bench::dollars(cluster.total_cost())});
+      exp::SchemeFactoryOptions factory_options;
+      factory_options.paldia.selection.performance_band_ms = band;
+      const auto metrics = run_paldia(scenario, factory_options, options, observer);
+      table.add_row({Table::num(band, 0), Table::percent(metrics.slo_compliance),
+                     bench::dollars(metrics.cost)});
     }
     table.print(std::cout);
   }

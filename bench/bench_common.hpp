@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -35,21 +36,6 @@ struct BenchOptions {
   /// all runs of the sweep, written as JSON at exit. The same analysis
   /// `paldia-analyze` performs offline on --trace-out files.
   std::string report_out;
-  /// --no-tmax-cache: run the Eq. 1 sweep memoization in bypass mode —
-  /// identical lookups and hit/miss counters, but every sweep recomputes.
-  /// Exports must come out byte-identical to the cached run; this flag is
-  /// the reference side of that check.
-  bool tmax_cache = true;
-  /// --no-request-pool: run the request-path arena in bypass mode — same
-  /// block API and bookkeeping, but every buffer is dropped on release and
-  /// re-allocated on acquire (plain-vector behaviour). Exports must come
-  /// out byte-identical to the pooled run.
-  bool request_pool = true;
-  /// --no-prune: run Algorithm 1's candidate sweep as the exhaustive linear
-  /// enumeration instead of the pruned (capability-masked, lower-bounded,
-  /// cost-bucketed) walk. Choices and exports must come out byte-identical
-  /// to the pruned run; this flag is the reference side of that check.
-  bool prune = true;
   /// --sample-rate=N: keep every SLO-violating request lifecycle in the
   /// trace plus a deterministic 1-in-N of compliant ones (1 = keep all).
   /// The decision hashes the request id against a fixed seed — never wall
@@ -62,9 +48,10 @@ struct BenchOptions {
   /// --sample-rate. `paldia-analyze --rollup` rebuilds compliance and
   /// attribution from this stream alone.
   std::string rollup_out;
-  /// --profile: time the simulator's own hot paths (epoch extract/merge,
-  /// selection sweep, dispatch/monitor ticks, export flush) and emit a
-  /// per-phase report section plus a chrome-trace self-profile lane.
+  /// --profile: time the simulator's own hot paths (event drain, selection
+  /// sweep, dispatch/monitor ticks, export flush), print each run's table
+  /// to stderr, and emit a per-phase report section plus a chrome-trace
+  /// self-profile lane.
   bool profile = false;
   /// --alerts-out=FILE: SLO health alert stream (.csv -> CSV, else JSONL) —
   /// one row per resolved incident plus a per-rep ground-truth summary row.
@@ -78,19 +65,18 @@ struct BenchOptions {
   /// multi-window rule fires only when both windows breach the threshold.
   double burn_fast_ms = 60'000.0;
   double burn_slow_ms = 600'000.0;
-  /// --catalog=SPEC: global node catalog for fleet drivers — 'table2'
-  /// (default) or 'gen:<count>' with optional :seed=/:gpu=/:noise=/:twins=
-  /// (hw::parse_catalog_spec). Non-fleet drivers ignore it.
-  std::string catalog = "table2";
-  /// --endpoints=N: serving endpoints (gateways) for fleet drivers. Each
-  /// endpoint owns a slice of the catalog and an independent serving loop.
-  int endpoints = 4;
 };
 
-inline BenchOptions parse_options(int argc, char** argv) {
+/// Parse the flags every driver shares. `driver_flag` (optional) sees each
+/// argument first and returns true for the driver's own flags; anything
+/// neither side knows is reported on stderr and otherwise ignored.
+inline BenchOptions parse_options(
+    int argc, char** argv,
+    const std::function<bool(const std::string&)>& driver_flag = nullptr) {
   BenchOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (driver_flag && driver_flag(arg)) continue;
     if (arg.rfind("--reps=", 0) == 0) {
       options.repetitions = std::max(1, std::atoi(arg.c_str() + 7));
     } else if (arg.rfind("--threads=", 0) == 0) {
@@ -105,12 +91,6 @@ inline BenchOptions parse_options(int argc, char** argv) {
       options.report_out = arg.substr(13);
     } else if (arg == "--full") {
       options.full = true;
-    } else if (arg == "--no-tmax-cache") {
-      options.tmax_cache = false;
-    } else if (arg == "--no-request-pool") {
-      options.request_pool = false;
-    } else if (arg == "--no-prune") {
-      options.prune = false;
     } else if (arg.rfind("--sample-rate=", 0) == 0) {
       options.sample_rate =
           static_cast<std::uint32_t>(std::max(1, std::atoi(arg.c_str() + 14)));
@@ -122,10 +102,6 @@ inline BenchOptions parse_options(int argc, char** argv) {
       options.alerts_out = arg.substr(13);
     } else if (arg.rfind("--slo-target=", 0) == 0) {
       options.slo_target = std::atof(arg.c_str() + 13);
-    } else if (arg.rfind("--catalog=", 0) == 0) {
-      options.catalog = arg.substr(10);
-    } else if (arg.rfind("--endpoints=", 0) == 0) {
-      options.endpoints = std::max(1, std::atoi(arg.c_str() + 12));
     } else if (arg.rfind("--burn-windows=", 0) == 0) {
       double fast = 0.0, slow = 0.0;
       if (std::sscanf(arg.c_str() + 15, "%lf,%lf", &fast, &slow) == 2) {
@@ -137,8 +113,7 @@ inline BenchOptions parse_options(int argc, char** argv) {
       }
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: %s [--reps=N] [--threads=N] [--full] [--no-tmax-cache]\n"
-          "          [--no-request-pool] [--no-prune]\n"
+          "usage: %s [--reps=N] [--threads=N] [--full]\n"
           "          [--trace-out=FILE.json]   Chrome trace-event JSON per\n"
           "                                    (scenario, scheme) run (Perfetto)\n"
           "          [--metrics-out=FILE]      RunMetrics rows, streaming\n"
@@ -147,12 +122,6 @@ inline BenchOptions parse_options(int argc, char** argv) {
           "                                    per monitor tick per repetition\n"
           "          [--report-out=FILE.json]  violation-attribution +\n"
           "                                    calibration report over the sweep\n"
-          "          [--no-tmax-cache]         recompute every Eq. 1 sweep\n"
-          "                                    (memoization bypass reference)\n"
-          "          [--no-request-pool]       drop request buffers instead of\n"
-          "                                    pooling (arena bypass reference)\n"
-          "          [--no-prune]              exhaustive linear Algorithm 1\n"
-          "                                    sweep (pruning bypass reference)\n"
           "          [--sample-rate=N]         keep all SLO violators + 1-in-N\n"
           "                                    compliant lifecycles in the trace\n"
           "                                    (deterministic; counts stay exact)\n"
@@ -165,13 +134,11 @@ inline BenchOptions parse_options(int argc, char** argv) {
           "          [--slo-target=F]          SLO objective for the health\n"
           "                                    error budget (default 0.999)\n"
           "          [--burn-windows=FAST,SLOW] burn-rate windows in ms\n"
-          "                                    (default 60000,600000)\n"
-          "          [--catalog=SPEC]          fleet catalog: 'table2' or\n"
-          "                                    'gen:<count>[:seed=S][:gpu=F]'\n"
-          "          [--endpoints=N]           fleet serving endpoints, each\n"
-          "                                    over a slice of the catalog\n",
+          "                                    (default 60000,600000)\n",
           argv[0]);
       std::exit(0);
+    } else {
+      std::fprintf(stderr, "warning: unknown flag '%s' ignored\n", arg.c_str());
     }
   }
   return options;
@@ -183,20 +150,6 @@ inline BenchOptions parse_options(int argc, char** argv) {
 inline ThreadPool& shared_pool(const BenchOptions& options) {
   static ThreadPool pool(static_cast<std::size_t>(options.threads));
   return pool;
-}
-
-/// SchemeFactoryOptions carrying the CLI's policy-level switches. Drivers
-/// with extra knobs (tmax_beta, offline split) start from this and override.
-inline exp::SchemeFactoryOptions factory_options(const BenchOptions& options) {
-  exp::SchemeFactoryOptions factory;
-  factory.tmax_cache = options.tmax_cache;
-  factory.request_pool = options.request_pool;
-  factory.prune = options.prune;
-  factory.sample_rate = options.sample_rate;
-  factory.slo_target = options.slo_target;
-  factory.burn_fast_ms = options.burn_fast_ms;
-  factory.burn_slow_ms = options.burn_slow_ms;
-  return factory;
 }
 
 inline void print_header(const std::string& title, const std::string& paper_claim) {
@@ -215,7 +168,11 @@ class RunObserver {
       : figure_(std::move(figure)),
         trace_out_(options.trace_out),
         report_out_(options.report_out),
-        profile_(options.profile) {
+        profile_(options.profile),
+        sample_rate_(options.sample_rate) {
+    health_config_.slo_target = options.slo_target;
+    health_config_.fast_window_ms = options.burn_fast_ms;
+    health_config_.slow_window_ms = options.burn_slow_ms;
     if (!options.metrics_out.empty()) {
       metrics_ = std::make_unique<obs::MetricsWriter>(options.metrics_out);
       if (!metrics_->ok()) {
@@ -268,9 +225,12 @@ class RunObserver {
     return !trace_out_.empty() || !report_out_.empty() || decisions_ != nullptr;
   }
 
-  /// A RunTrace configured for the enabled streams; pass to Runner::run.
+  /// A RunTrace configured for the enabled streams and the sampling and
+  /// health flags; pass to Runner::run or FleetSim::run.
   obs::RunTrace make_trace() const {
     obs::RunTrace trace;
+    trace.config.sample_rate = sample_rate_;
+    trace.health_config = health_config_;
     trace.capture_events = capture_events();
     trace.collect_rollups = rollups_ != nullptr;
     trace.profile = profile_;
@@ -356,6 +316,8 @@ class RunObserver {
   std::string trace_out_;
   std::string report_out_;
   bool profile_ = false;
+  std::uint32_t sample_rate_ = 1;
+  obs::HealthConfig health_config_;
   std::map<std::string, int> trace_runs_;
   std::vector<obs::AnalysisReport> reports_;
   std::unique_ptr<obs::MetricsWriter> metrics_;

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   const double fraction = exp::sweep_offline_spatial_fraction(scenario, 10);
   std::cout << "Offline sweep picked spatial fraction " << fraction << "\n\n";
 
-  exp::SchemeFactoryOptions factory_options = bench::factory_options(options);
+  exp::SchemeFactoryOptions factory_options;
   factory_options.offline_spatial_fraction = fraction;
   exp::Runner runner(models::Zoo::instance(), hw::Catalog::instance(),
                      &bench::shared_pool(options), factory_options);

@@ -18,8 +18,7 @@ int main(int argc, char** argv) {
       "($) schemes.");
 
   exp::Runner runner(models::Zoo::instance(), hw::Catalog::instance(),
-                     &bench::shared_pool(options),
-                     bench::factory_options(options));
+                     &bench::shared_pool(options));
   bench::RunObserver observer(options, "fig03");
   const auto schemes = exp::main_schemes();
 

@@ -19,8 +19,7 @@ int main(int argc, char** argv) {
       "(Molecule); Paldia's P99 within the 200 ms SLO.");
 
   exp::Runner runner(models::Zoo::instance(), hw::Catalog::instance(),
-                     &bench::shared_pool(options),
-                     bench::factory_options(options));
+                     &bench::shared_pool(options));
   bench::RunObserver observer(options, "fig04");
   for (const auto model : {models::ModelId::kResNet50, models::ModelId::kVgg19}) {
     auto scenario = exp::azure_scenario(model, options.repetitions);

@@ -18,8 +18,7 @@ int main(int argc, char** argv) {
       "compliant.");
 
   exp::Runner runner(models::Zoo::instance(), hw::Catalog::instance(),
-                     &bench::shared_pool(options),
-                     bench::factory_options(options));
+                     &bench::shared_pool(options));
   bench::RunObserver observer(options, "fig05");
   for (const auto model :
        {models::ModelId::kResNet50, models::ModelId::kEfficientNetB0}) {

@@ -16,8 +16,7 @@ int main(int argc, char** argv) {
       "~P80; (P) schemes well inside at much higher cost.");
 
   exp::Runner runner(models::Zoo::instance(), hw::Catalog::instance(),
-                     &bench::shared_pool(options),
-                     bench::factory_options(options));
+                     &bench::shared_pool(options));
   bench::RunObserver observer(options, "fig06");
   auto scenario = exp::azure_scenario(models::ModelId::kSeNet18,
                                       options.repetitions);

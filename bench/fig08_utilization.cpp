@@ -17,8 +17,7 @@ int main(int argc, char** argv) {
       "schemes; CPU util ~72% for cost-effective schemes.");
 
   exp::Runner runner(models::Zoo::instance(), hw::Catalog::instance(),
-                     &bench::shared_pool(options),
-                     bench::factory_options(options));
+                     &bench::shared_pool(options));
   bench::RunObserver observer(options, "fig08");
   auto scenario = exp::azure_scenario(models::ModelId::kVgg19, options.repetitions);
 

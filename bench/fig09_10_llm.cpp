@@ -18,8 +18,7 @@ int main(int argc, char** argv) {
       "savings vs (P) schemes.");
 
   exp::Runner runner(models::Zoo::instance(), hw::Catalog::instance(),
-                     &bench::shared_pool(options),
-                     bench::factory_options(options));
+                     &bench::shared_pool(options));
   bench::RunObserver observer(options, "fig09_10");
   const auto schemes = exp::main_schemes();
   const auto llms = models::Zoo::instance().language_models();

@@ -16,8 +16,7 @@ int main(int argc, char** argv) {
       "Paldia within ~0.8% of Oracle's compliance; cost difference <~1%.");
 
   exp::Runner runner(models::Zoo::instance(), hw::Catalog::instance(),
-                     &bench::shared_pool(options),
-                     bench::factory_options(options));
+                     &bench::shared_pool(options));
   bench::RunObserver observer(options, "fig11");
   Table table({"Model", "Scheme", "SLO compliance", "Cost", "Delta SLO",
                "Delta cost"});

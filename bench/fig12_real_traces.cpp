@@ -46,8 +46,7 @@ int main(int argc, char** argv) {
       "cost, far below the (P) schemes.");
 
   exp::Runner runner(models::Zoo::instance(), hw::Catalog::instance(),
-                     &bench::shared_pool(options),
-                     bench::factory_options(options));
+                     &bench::shared_pool(options));
   bench::RunObserver observer(options, "fig12");
 
   {

@@ -24,8 +24,7 @@ int main(int argc, char** argv) {
       "drops (P) schemes.");
 
   exp::Runner runner(models::Zoo::instance(), hw::Catalog::instance(),
-                     &bench::shared_pool(options),
-                     bench::factory_options(options));
+                     &bench::shared_pool(options));
   bench::RunObserver observer(options, "fig13");
 
   {

@@ -2,10 +2,11 @@
 // (--catalog=gen:N) driven by 100+ endpoints of random-walk demand, with a
 // fig. 5-style cost-vs-SLO frontier swept over the selection headroom.
 //
-// Also the fleet-scale face of the --no-prune equivalence check: before the
-// frontier runs, the pruned and exhaustive-linear modes are executed over
+// Also the fleet-scale face of the linear-sweep equivalence check: before
+// the frontier runs, the pruned and exhaustive-linear modes are executed over
 // the same schedule and their choice digests compared — any divergence is a
-// hard failure (exit 1), mirroring the byte-identity CI on fig04 exports.
+// hard failure (exit 1), mirroring the in-process byte-identity test on the
+// fig04 exports (ReferenceModes.LinearSweepExportsByteIdentical).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,7 +27,6 @@ struct Options {
   int fleet_nodes = 120;
   int ticks = 40;
   std::uint64_t seed = 2026;
-  bool prune = true;
 };
 
 Options parse(int argc, char** argv) {
@@ -41,21 +41,19 @@ Options parse(int argc, char** argv) {
       options.ticks = std::max(1, std::atoi(arg.c_str() + 8));
     } else if (arg.rfind("--seed=", 0) == 0) {
       options.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg == "--no-prune") {
-      options.prune = false;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: %s [--catalog=gen:N[:seed=S][:gpu=F]] [--fleet-nodes=N]\n"
-          "          [--ticks=N] [--seed=S] [--no-prune]\n"
+          "          [--ticks=N] [--seed=S]\n"
           "  --catalog=SPEC     device catalog: 'table2' or 'gen:<count>'\n"
           "                     with optional :seed=/:gpu=/:noise=/:twins=\n"
           "  --fleet-nodes=N    model endpoints in the fleet (default 120)\n"
           "  --ticks=N          monitor ticks per endpoint (default 40)\n"
-          "  --seed=S           demand random-walk seed (default 2026)\n"
-          "  --no-prune         exhaustive linear Algorithm 1 sweep\n"
-          "                     (pruning bypass reference)\n",
+          "  --seed=S           demand random-walk seed (default 2026)\n",
           argv[0]);
       std::exit(0);
+    } else {
+      std::fprintf(stderr, "warning: unknown flag '%s' ignored\n", arg.c_str());
     }
   }
   return options;
@@ -93,16 +91,14 @@ int main(int argc, char** argv) {
   config.endpoints = options.fleet_nodes;
   config.ticks = options.ticks;
   config.seed = options.seed;
-  config.prune = options.prune;
   const auto schedule = exp::build_fleet_schedule(config, zoo);
 
   // Equivalence self-check: the pruned and linear modes must choose
   // identically, bit for bit, over the whole fleet.
   {
-    exp::FleetConfig pruned = config, linear = config;
-    pruned.prune = true;
+    exp::FleetConfig linear = config;
     linear.prune = false;
-    const auto a = exp::run_fleet(pruned, schedule, zoo, catalog, profile);
+    const auto a = exp::run_fleet(config, schedule, zoo, catalog, profile);
     const auto b = exp::run_fleet(linear, schedule, zoo, catalog, profile);
     if (a.choice_digest != b.choice_digest) {
       std::fprintf(stderr,

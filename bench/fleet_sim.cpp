@@ -27,71 +27,75 @@ struct FleetFlags {
   double duration_s = 300.0;
   std::uint64_t trace_seed = 4;
   exp::SchemeId scheme = exp::SchemeId::kPaldia;
-  bool catalog_given = false;
-  bool endpoints_given = false;
+  /// Global node catalog: 'table2' or 'gen:<count>' with optional
+  /// :seed=/:gpu=/:noise=/:twins= (hw::parse_catalog_spec).
+  std::string catalog = "gen:256";
+  /// Serving endpoints (gateways), each over a slice of the catalog with an
+  /// independent serving loop.
+  int endpoints = 64;
 };
 
-FleetFlags parse_fleet_flags(int argc, char** argv) {
-  FleetFlags flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--requests=", 0) == 0) {
-      flags.requests = std::strtoull(arg.c_str() + 11, nullptr, 10);
-    } else if (arg.rfind("--duration=", 0) == 0) {
-      flags.duration_s = std::max(1.0, std::atof(arg.c_str() + 11));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      flags.trace_seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg.rfind("--scheme=", 0) == 0) {
-      const std::string name = arg.substr(9);
-      if (name == "paldia") {
-        flags.scheme = exp::SchemeId::kPaldia;
-      } else if (name == "infless-cost") {
-        flags.scheme = exp::SchemeId::kInflessLlamaCost;
-      } else if (name == "infless-perf") {
-        flags.scheme = exp::SchemeId::kInflessLlamaPerf;
-      } else if (name == "molecule-cost") {
-        flags.scheme = exp::SchemeId::kMoleculeCost;
-      } else if (name == "molecule-perf") {
-        flags.scheme = exp::SchemeId::kMoleculePerf;
-      } else {
-        std::fprintf(stderr,
-                     "error: --scheme wants paldia|infless-cost|infless-perf|"
-                     "molecule-cost|molecule-perf, got '%s'\n", name.c_str());
-        std::exit(1);
-      }
-    } else if (arg.rfind("--catalog=", 0) == 0) {
-      flags.catalog_given = true;
-    } else if (arg.rfind("--endpoints=", 0) == 0) {
-      flags.endpoints_given = true;
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "Fleet extras (on top of the shared bench flags):\n"
-          "  --requests=N   Poisson mean arrivals over the run (default 1.2M)\n"
-          "  --duration=S   trace duration in seconds (default 300)\n"
-          "  --seed=S       Poisson trace seed (default 4)\n"
-          "  --scheme=NAME  paldia|infless-cost|infless-perf|molecule-cost|\n"
-          "                 molecule-perf (default paldia)\n"
-          "Fleet defaults for the shared flags: --catalog=gen:256 "
-          "--endpoints=64\n\n");
+/// One fleet-only flag into `flags`; false for anything else, so the
+/// shared parser handles it. On --help, prints the fleet extras and returns
+/// false: the shared usage text follows and exits.
+bool parse_fleet_flag(const std::string& arg, FleetFlags& flags) {
+  if (arg.rfind("--requests=", 0) == 0) {
+    flags.requests = std::strtoull(arg.c_str() + 11, nullptr, 10);
+  } else if (arg.rfind("--duration=", 0) == 0) {
+    flags.duration_s = std::max(1.0, std::atof(arg.c_str() + 11));
+  } else if (arg.rfind("--seed=", 0) == 0) {
+    flags.trace_seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+  } else if (arg.rfind("--scheme=", 0) == 0) {
+    const std::string name = arg.substr(9);
+    if (name == "paldia") {
+      flags.scheme = exp::SchemeId::kPaldia;
+    } else if (name == "infless-cost") {
+      flags.scheme = exp::SchemeId::kInflessLlamaCost;
+    } else if (name == "infless-perf") {
+      flags.scheme = exp::SchemeId::kInflessLlamaPerf;
+    } else if (name == "molecule-cost") {
+      flags.scheme = exp::SchemeId::kMoleculeCost;
+    } else if (name == "molecule-perf") {
+      flags.scheme = exp::SchemeId::kMoleculePerf;
+    } else {
+      std::fprintf(stderr,
+                   "error: --scheme wants paldia|infless-cost|infless-perf|"
+                   "molecule-cost|molecule-perf, got '%s'\n", name.c_str());
+      std::exit(1);
     }
+  } else if (arg.rfind("--catalog=", 0) == 0) {
+    flags.catalog = arg.substr(10);
+  } else if (arg.rfind("--endpoints=", 0) == 0) {
+    flags.endpoints = std::max(1, std::atoi(arg.c_str() + 12));
+  } else if (arg == "--help" || arg == "-h") {
+    std::printf(
+        "Fleet extras (on top of the shared bench flags):\n"
+        "  --requests=N   Poisson mean arrivals over the run (default 1.2M)\n"
+        "  --duration=S   trace duration in seconds (default 300)\n"
+        "  --seed=S       Poisson trace seed (default 4)\n"
+        "  --scheme=NAME  paldia|infless-cost|infless-perf|molecule-cost|\n"
+        "                 molecule-perf (default paldia)\n"
+        "  --catalog=SPEC global catalog: 'table2' or\n"
+        "                 'gen:<count>[:seed=S][:gpu=F]' (default gen:256)\n"
+        "  --endpoints=N  serving endpoints, each over a slice of the\n"
+        "                 catalog (default 64)\n\n");
+    return false;
+  } else {
+    return false;
   }
-  return flags;
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Fleet extras first: on --help they print before parse_options' shared
-  // usage text (which exits).
-  const FleetFlags flags = parse_fleet_flags(argc, argv);
-  auto options = bench::parse_options(argc, argv);
-  // The shared-flag defaults suit the single-cluster figure drivers; the
-  // fleet wants scale unless told otherwise.
-  if (!flags.catalog_given) options.catalog = "gen:256";
-  if (!flags.endpoints_given) options.endpoints = 64;
+  FleetFlags flags;
+  const auto options = bench::parse_options(
+      argc, argv,
+      [&flags](const std::string& arg) { return parse_fleet_flag(arg, flags); });
 
   std::string error;
-  const auto gen = hw::parse_catalog_spec(options.catalog, &error);
+  const auto gen = hw::parse_catalog_spec(flags.catalog, &error);
   if (!gen.has_value() && !error.empty()) {
     std::fprintf(stderr, "error: --catalog: %s\n", error.c_str());
     return 1;
@@ -121,10 +125,10 @@ int main(int argc, char** argv) {
       "gateways over slices of one heterogeneous catalog, one shared "
       "simulator.");
   std::printf("Catalog:   %s (%zu nodes: %d GPU, %zu CPU)\n",
-              options.catalog.c_str(), catalog.size(), gpus,
+              flags.catalog.c_str(), catalog.size(), gpus,
               catalog.size() - static_cast<std::size_t>(gpus));
   std::printf("Fleet:     %d endpoints, scheme %s, threads=%d\n",
-              options.endpoints, exp::scheme_name(flags.scheme).c_str(),
+              flags.endpoints, exp::scheme_name(flags.scheme).c_str(),
               options.threads);
   std::printf("Workload:  %llu arrivals over %.0f s (Poisson, seed %llu)\n\n",
               static_cast<unsigned long long>(
@@ -132,19 +136,18 @@ int main(int argc, char** argv) {
               flags.duration_s,
               static_cast<unsigned long long>(flags.trace_seed));
 
-  exp::FleetSim fleet_sim(zoo, catalog, &bench::shared_pool(options),
-                          bench::factory_options(options));
+  exp::FleetSim fleet_sim(zoo, catalog, &bench::shared_pool(options));
   bench::RunObserver observer(options, "fleet_sim");
 
   const auto wall_start = std::chrono::steady_clock::now();
   exp::FleetSimResult result;
   if (observer.tracing()) {
     obs::RunTrace trace = observer.make_trace();
-    result = fleet_sim.run(scenario, flags.scheme, options.endpoints, &trace);
+    result = fleet_sim.run(scenario, flags.scheme, flags.endpoints, &trace);
     observer.export_trace(trace, scenario.name,
                           exp::scheme_name(flags.scheme));
   } else {
-    result = fleet_sim.run(scenario, flags.scheme, options.endpoints);
+    result = fleet_sim.run(scenario, flags.scheme, flags.endpoints);
   }
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -

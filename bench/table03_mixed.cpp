@@ -17,8 +17,7 @@ int main(int argc, char** argv) {
       "Paldia 94.78%.");
 
   exp::Runner runner(models::Zoo::instance(), hw::Catalog::instance(),
-                     &bench::shared_pool(options),
-                     bench::factory_options(options));
+                     &bench::shared_pool(options));
   bench::RunObserver observer(options, "table03");
   auto scenario = exp::azure_scenario(models::ModelId::kResNet50,
                                       options.repetitions);

@@ -371,7 +371,7 @@ HardwareChoice HardwareSelection::choose(const std::vector<DemandSnapshot>& dema
   const DurationMs band = std::max(0.0, config_.performance_band_ms);
 
   // Fast path: no observer. The pruned walk evaluates candidates lazily;
-  // the linear reference (--no-prune) evaluates the whole pool up front.
+  // the linear reference (prune = false) evaluates the whole pool up front.
   if (sweep == nullptr && config_.prune) {
     WalkOutcome walk =
         pruned_walk(demand, pool, [&](std::size_t i) { return evaluate(pool[i], demand); });
@@ -383,7 +383,7 @@ HardwareChoice HardwareSelection::choose(const std::vector<DemandSnapshot>& dema
   // Observed (or linear) path: evaluate every pool member. With an observer
   // attached this happens in *both* prune modes so the exported candidate
   // tables — and the TmaxCache counters feeding the metrics stream — stay
-  // byte-identical between --no-prune and the default; the pruned walk is
+  // byte-identical between prune = false and the default; the pruned walk is
   // then replayed over the results to account the work it would have saved.
   std::vector<HardwareChoice> choices(pool.size());
   auto evaluate_one = [&](std::size_t i) { choices[i] = evaluate(pool[i], demand); };
@@ -416,7 +416,7 @@ HardwareChoice HardwareSelection::choose(const std::vector<DemandSnapshot>& dema
   }
   if (config_.prune) return walk.choice;
 
-  // Linear reference scan (--no-prune): Algorithm 1 exactly as written.
+  // Linear reference scan (prune = false): Algorithm 1 exactly as written.
   // Walking the pool cheapest-first, the first *feasible CPU node*
   // short-circuits (the pseudocode's `break` after approx_T_max) — CPU
   // nodes handle low request rates whenever one suffices.

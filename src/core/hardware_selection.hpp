@@ -33,9 +33,10 @@ struct HardwareSelectionConfig {
   double slo_headroom = 0.85;
   /// Pruned candidate enumeration (capability bitmasks, twin-dominance
   /// dedup, T_max lower bounds, cost-bucket early exit). false is the
-  /// --no-prune reference: the exhaustive linear sweep. Both settings
-  /// return identical choices and byte-identical exports (CI-enforced);
-  /// the flag only changes how much sweep work runs.
+  /// reference: the exhaustive linear sweep. Both settings return identical
+  /// choices and byte-identical exports (see the ReferenceModes test
+  /// LinearSweepExportsByteIdentical); the setting only changes how much
+  /// sweep work runs.
   bool prune = true;
 };
 
@@ -57,7 +58,7 @@ struct SelectionSweep {
   /// Sweep-work accounting. The pruned walk touches `evaluated` of the
   /// `pool_size` capable candidates and proves the other `pruned` away
   /// (twin dedup, lower-bound skips, early exit); both counts are computed
-  /// by replaying the pruned walk, so they are identical under --no-prune
+  /// by replaying the pruned walk, so they are identical with prune = false
   /// (the bypass changes work, never results — paldia-analyze reports the
   /// savings either way). Escalations outside the pool count as evaluated.
   int pool_size = 0;

@@ -42,7 +42,7 @@ hw::NodeType PaldiaPolicy::select_hardware(const std::vector<DemandSnapshot>& de
   // Collect the sweep whenever a tracer observes the run — not just while a
   // decision record is open. An observed choose() evaluates the full pool
   // in both prune modes, so the TmaxCache counters in the sampled metrics
-  // stream cannot drift between --no-prune and the default even after the
+  // stream cannot drift between the linear and pruned sweeps even after the
   // decision log hits capacity mid-run.
   const bool observed = tracer() != nullptr;
   const HardwareChoice choice =

@@ -25,7 +25,7 @@ struct PaldiaPolicyConfig {
   int sweep_max_probes = perfmodel::kDefaultSweepProbes;
   /// Memoize the Eq. 1 y-sweeps (exact — TmaxModel is deterministic).
   /// false = bypass mode: identical lookups and counters, always recompute
-  /// (the --no-tmax-cache byte-identity reference).
+  /// (the reference side of ReferenceModes.TmaxCacheBypassExportsByteIdentical).
   bool tmax_cache = true;
 };
 

@@ -20,8 +20,9 @@
 //    walk buckets cheapest-first and stop at the first in-band winner.
 //
 // None of this changes any choice: the pruned sweep must match the linear
-// sweep bit-for-bit (CI byte-compares --no-prune runs; a randomized
-// equivalence test sweeps generated catalogs).
+// sweep bit-for-bit (ReferenceModes.LinearSweepExportsByteIdentical
+// byte-compares the fig04 exports; a randomized equivalence test sweeps
+// generated catalogs).
 #pragma once
 
 #include <cstdint>

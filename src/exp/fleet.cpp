@@ -114,7 +114,8 @@ FleetResult run_fleet(const FleetConfig& config,
   for (const auto& timeline : schedule) {
     for (const auto& tick : timeline) {
       // No sweep record: the timed loop runs the lazy pruned walk (or the
-      // plain linear sweep under --no-prune) — the production hot path.
+      // plain linear sweep when config.prune is false) — the production hot
+      // path.
       const core::HardwareChoice choice = selection.choose(tick.models, nullptr);
       ++result.choices;
       if (choice.feasible) ++result.feasible;

@@ -13,7 +13,8 @@
 // Determinism contract: the demand schedule and every choice are pure
 // functions of (FleetConfig, catalog) — choice_digest hashes the exact
 // HardwareChoice stream, and the pruned and linear modes must produce the
-// same digest (the fleet-scale face of the --no-prune byte-identity check).
+// same digest (the fleet-scale face of the linear-sweep reference mode;
+// fleet_frontier checks it on every run).
 #pragma once
 
 #include <cstdint>

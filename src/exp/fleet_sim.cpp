@@ -54,13 +54,7 @@ FleetSimResult FleetSim::run(const Scenario& scenario, SchemeId scheme,
   // Per-endpoint observation slots, endpoint order (mirrors Runner::run's
   // per-repetition slots — exporters walk them in slot order). Each slot is
   // added when its endpoint is configured, over that endpoint's slice.
-  if (trace != nullptr) {
-    trace->config.sample_rate = options_.sample_rate;
-    trace->health_config.slo_target = options_.slo_target;
-    trace->health_config.fast_window_ms = options_.burn_fast_ms;
-    trace->health_config.slow_window_ms = options_.burn_slow_ms;
-    trace->clear_slots();
-  }
+  if (trace != nullptr) trace->clear_slots();
 
   // Per-endpoint attribution + calibration engines (the calibration only
   // fills when the endpoint has a tracer with decision sweeps).
@@ -86,7 +80,6 @@ FleetSimResult FleetSim::run(const Scenario& scenario, SchemeId scheme,
   fleet_config.endpoints = endpoints;
   fleet_config.route_seed = scenario.base_seed;
   fleet_config.framework = scenario.framework;
-  fleet_config.framework.request_pool = options_.request_pool;
 
   core::Fleet fleet(
       simulator, rng.fork("fleet"), *zoo_, *catalog_, fleet_config,

@@ -47,7 +47,8 @@ class FleetSim {
   /// One fleet run: `endpoints` gateways serve the scenario's workloads,
   /// each global trace split per endpoint by the splitmix64 router seeded
   /// from scenario.base_seed. `trace` (optional) gets one observation slot
-  /// per endpoint for each enabled stream. Supported schemes are
+  /// per endpoint for each enabled stream, configured from `trace` as the
+  /// caller set it. Supported schemes are
   /// main_schemes() — Paldia and the INFless/Llama / Molecule variants,
   /// which select hardware over whatever catalog they are given (perf
   /// variants start on the slice's best GPU when it has one). Oracle (trace

@@ -61,7 +61,6 @@ RunResult Runner::run_once(const Scenario& scenario, SchemeId scheme,
     config.initial_node = factory_.initial_node(scheme);
   }
   config.tracer = tracer;
-  config.request_pool = factory_.options().request_pool;
   config.rollup = rollup;
   config.profiler = profiler;
   config.health = health;
@@ -256,13 +255,6 @@ RunResult Runner::run(const Scenario& scenario, SchemeId scheme, obs::RunTrace& 
   // Observation slots are allocated up front, one per repetition, so
   // concurrent repetitions never share state and exporters can walk the
   // slots in repetition order regardless of which thread filled them.
-  trace.config.sample_rate = factory_.options().sample_rate;
-  // The health detectors take their SLO budget and burn windows from the
-  // factory options (the --slo-target / --burn-windows flags are the single
-  // knobs); the remaining HealthConfig fields keep the trace's values.
-  trace.health_config.slo_target = factory_.options().slo_target;
-  trace.health_config.fast_window_ms = factory_.options().burn_fast_ms;
-  trace.health_config.slow_window_ms = factory_.options().burn_slow_ms;
   trace.clear_slots();
   for (std::size_t rep = 0; rep < reps; ++rep) trace.add_slot(*catalog_);
   auto run_rep = [&](std::size_t rep) {

@@ -70,9 +70,8 @@ class Runner {
   /// capture_events is false, rollup aggregators when collect_rollups,
   /// profilers when profile), allocated up front and filled in place —
   /// exporters walk the slots in repetition order, so serialized output is
-  /// byte-identical however many pool threads ran the reps. The tracer
-  /// configs take their sample_rate from SchemeFactoryOptions (the
-  /// --sample-rate flag is the single knob).
+  /// byte-identical however many pool threads ran the reps. The slots take
+  /// their configuration from `trace` as the caller set it.
   RunResult run(const Scenario& scenario, SchemeId scheme, obs::RunTrace& trace,
                 bool keep_cdf = false) const;
 

@@ -4,7 +4,6 @@
 #include "src/baselines/molecule.hpp"
 #include "src/baselines/offline_hybrid.hpp"
 #include "src/baselines/oracle.hpp"
-#include "src/core/paldia_policy.hpp"
 
 namespace paldia::exp {
 
@@ -45,14 +44,9 @@ std::unique_ptr<core::SchedulerPolicy> SchemeFactory::make(SchemeId id) const {
   const hw::NodeType cheap_gpu = hw::NodeType::kG3s_xlarge;  // M60 in Table II
 
   switch (id) {
-    case SchemeId::kPaldia: {
-      core::PaldiaPolicyConfig config;
-      config.tmax_beta = options_.tmax_beta;
-      config.tmax_cache = options_.tmax_cache;
-      config.selection.prune = options_.prune;
+    case SchemeId::kPaldia:
       return std::make_unique<core::PaldiaPolicy>(*zoo_, *catalog_, *profile_, pool_,
-                                                  config);
-    }
+                                                  options_.paldia);
     case SchemeId::kInflessLlamaCost:
       return std::make_unique<InflessLlamaPolicy>(*zoo_, *catalog_, *profile_,
                                                   Variant::kCostEffective);
@@ -65,13 +59,10 @@ std::unique_ptr<core::SchedulerPolicy> SchemeFactory::make(SchemeId id) const {
     case SchemeId::kMoleculePerf:
       return std::make_unique<MoleculePolicy>(*zoo_, *catalog_, *profile_,
                                               Variant::kPerformance);
-    case SchemeId::kOracle: {
-      core::HardwareSelectionConfig selection;
-      selection.prune = options_.prune;
-      return std::make_unique<baselines::OraclePolicy>(*zoo_, *catalog_, *profile_,
-                                                       pool_, options_.tmax_beta,
-                                                       options_.tmax_cache, selection);
-    }
+    case SchemeId::kOracle:
+      return std::make_unique<baselines::OraclePolicy>(
+          *zoo_, *catalog_, *profile_, pool_, options_.paldia.tmax_beta,
+          options_.paldia.tmax_cache, options_.paldia.selection);
     case SchemeId::kOfflineHybrid:
       return std::make_unique<baselines::OfflineHybridPolicy>(
           *zoo_, *catalog_, *profile_, cheap_gpu, options_.offline_spatial_fraction);

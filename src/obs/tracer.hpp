@@ -117,7 +117,7 @@ struct DecisionRecord {
   int emergency_ctr = 0;
   /// Sweep-work accounting (SelectionSweep): the capable pool size, how many
   /// candidates the pruned walk evaluates, and how many it proves away.
-  /// Identical under --no-prune (the counts replay the pruned walk either
+  /// Identical with pruning off (the counts replay the pruned walk either
   /// way); paldia-analyze reports the sweep work saved from these.
   int pool_size = 0;
   int evaluated_candidates = 0;
@@ -278,8 +278,8 @@ class Tracer {
 /// filled concurrently; exporters read them in slot order, so the serialized
 /// output is independent of thread count.
 struct RunTrace {
-  /// Tracer slot configuration. Runner::run overwrites sample_rate from
-  /// SchemeFactoryOptions so the --sample-rate flag is the single knob.
+  /// Tracer slot configuration (sample rate, buffer capacities). The
+  /// runners read it as the caller set it; this is its only home.
   TracerConfig config;
   /// When false, no tracer slots are allocated: a rollup- or profile-only
   /// run observes every completion in fixed memory with no event buffers.
@@ -288,11 +288,11 @@ struct RunTrace {
   bool collect_rollups = false;
   /// Allocate one Profiler per repetition (--profile).
   bool profile = false;
-  /// Allocate one HealthEngine per repetition (--alerts-out). Runner::run
-  /// overwrites health_config's slo_target / burn windows from
-  /// SchemeFactoryOptions so the CLI flags are the single knob.
+  /// Allocate one HealthEngine per repetition (--alerts-out).
   bool collect_health = false;
   RollupConfig rollup_config;
+  /// Health engine slot configuration (SLO target, burn windows); like
+  /// `config`, the runners read it as the caller set it.
   HealthConfig health_config;
   /// Each slot's catalog names by node index, copied when the slot is
   /// allocated: a fleet's slice catalogs die before any exporter runs. The

@@ -54,7 +54,8 @@ SharingDecision TmaxCache::best_split(const YOptimizer& optimizer, const Key& ke
   const auto [it, inserted] = entries_.emplace(key, Value{decision.y, decision.t_max_ms});
   if (!inserted) {
     // Bypass hit re-verifies the memoized value against the recomputation —
-    // the bit-identity contract, also asserted by the CI byte-identity run.
+    // the bit-identity contract, also checked end to end by
+    // ReferenceModes.TmaxCacheBypassExportsByteIdentical.
     assert(it->second.y == decision.y && it->second.t_max_ms == decision.t_max_ms);
     (void)it;
   }

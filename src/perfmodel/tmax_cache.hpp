@@ -7,8 +7,9 @@
 // the model's max_batch, and Solo/FBR/compute come from the immutable
 // profile table. TmaxModel is deterministic math, so caching the sweep
 // result is exact, not approximate — cached and recomputed decisions are
-// bit-identical, and the CI byte-identity check (cache on vs
-// --no-tmax-cache) verifies exactly that.
+// bit-identical, and ReferenceModes.TmaxCacheBypassExportsByteIdentical
+// (cache on vs PaldiaPolicyConfig::tmax_cache = false over the fig04 cells)
+// verifies exactly that.
 //
 // Keying and invalidation: the key is (model, node, N, SLO quantized to a
 // 1/1024 ms grid, max_probes). There is no invalidation rule because there
@@ -19,7 +20,7 @@
 // the caller's *unquantized* SLO at lookup time, so grid rounding can never
 // flip a feasibility verdict.
 //
-// Bypass mode (--no-tmax-cache): lookups and insertions still happen and
+// Bypass mode (TmaxCache(true)): lookups and insertions still happen and
 // hits/misses are counted identically, but the returned decision is always
 // freshly recomputed. This keeps every exported byte (including the
 // hit/miss counter stream) identical between modes, which is what makes the
@@ -52,7 +53,7 @@ struct TmaxCacheStats {
 class TmaxCache {
  public:
   /// bypass = true: count and populate as usual but always recompute (the
-  /// --no-tmax-cache mode; see the file comment).
+  /// reference mode; see the file comment).
   explicit TmaxCache(bool bypass = false) : bypass_(bypass) {}
   TmaxCache(const TmaxCache&) = delete;
   TmaxCache& operator=(const TmaxCache&) = delete;

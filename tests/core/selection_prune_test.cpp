@@ -2,8 +2,9 @@
 // the same HardwareChoice as the exhaustive linear sweep — same node, same
 // split, bit-identical T_max — over generated catalogs of every shape the
 // generator can produce (GPU-heavy, CPU-only, twin-rich) and demand points
-// from idle to infeasible-everywhere. This is the in-process face of the
-// fig04 --no-prune byte-identity CI check.
+// from idle to infeasible-everywhere. The ReferenceModes test
+// LinearSweepExportsByteIdentical checks the same equivalence end to end,
+// over the fig04 exports.
 #include <gtest/gtest.h>
 
 #include <cmath>

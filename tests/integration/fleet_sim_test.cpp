@@ -17,6 +17,7 @@
 #include "src/hw/catalog_gen.hpp"
 #include "src/obs/chrome_trace.hpp"
 #include "src/obs/export.hpp"
+#include "src/obs/health.hpp"
 #include "src/obs/report.hpp"
 #include "src/trace/generators.hpp"
 
@@ -118,6 +119,31 @@ TEST(FleetSim, PooledVsSerialBitIdentical) {
   EXPECT_EQ(serial.report, pooled.report);
   EXPECT_EQ(serial.total_requests, pooled.total_requests);
   EXPECT_EQ(serial.unserved, pooled.unserved);
+}
+
+TEST(FleetSim, HonoursCallerRunTraceConfig) {
+  // Like Runner::run, FleetSim::run configures every endpoint slot from the
+  // trace as the caller set it.
+  const hw::Catalog catalog = hw::generate_catalog({.node_count = 16, .seed = 3});
+  FleetSim sim(models::Zoo::instance(), catalog);
+  obs::RunTrace trace;
+  trace.config.sample_rate = 8;
+  trace.collect_health = true;
+  trace.health_config.slo_target = 0.99;
+  trace.health_config.fast_window_ms = 2000.0;
+  trace.health_config.slow_window_ms = 8000.0;
+  sim.run(fleet_scenario(), SchemeId::kPaldia, kEndpoints, &trace);
+
+  ASSERT_EQ(trace.reps.size(), static_cast<std::size_t>(kEndpoints));
+  ASSERT_EQ(trace.healths.size(), static_cast<std::size_t>(kEndpoints));
+  for (std::size_t e = 0; e < trace.reps.size(); ++e) {
+    EXPECT_EQ(trace.reps[e]->config().sample_rate, 8u);
+    const obs::HealthConfig& health = trace.healths[e]->config();
+    EXPECT_EQ(health.slo_target, 0.99);
+    EXPECT_EQ(health.fast_window_ms, 2000.0);
+    EXPECT_EQ(health.slow_window_ms, 8000.0);
+  }
+  EXPECT_GT(trace.sampled_out(), 0u) << "1-in-8 sampling dropped nothing";
 }
 
 TEST(FleetSim, NodesCarryTheirCatalogNamesThroughEveryExport) {

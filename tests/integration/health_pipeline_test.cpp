@@ -43,12 +43,14 @@ Scenario health_scenario(bool failures) {
 /// give each window enough evaluations. slo_target 0.99 puts the breach
 /// point at a 14.4% violation fraction — far above cold-start stragglers,
 /// far below a downed node.
-SchemeFactoryOptions health_options() {
-  SchemeFactoryOptions options;
-  options.slo_target = 0.99;
-  options.burn_fast_ms = 2000.0;
-  options.burn_slow_ms = 8000.0;
-  return options;
+obs::RunTrace health_trace() {
+  obs::RunTrace trace;
+  trace.capture_events = false;  // health needs no event buffers
+  trace.collect_health = true;
+  trace.health_config.slo_target = 0.99;
+  trace.health_config.fast_window_ms = 2000.0;
+  trace.health_config.slow_window_ms = 8000.0;
+  return trace;
 }
 
 struct HealthRun {
@@ -61,12 +63,9 @@ struct HealthRun {
 
 HealthRun run_health(bool failures, ThreadPool* pool,
                      SchemeId scheme = SchemeId::kPaldia) {
-  Runner runner(models::Zoo::instance(), hw::Catalog::instance(), pool,
-                health_options());
+  Runner runner(models::Zoo::instance(), hw::Catalog::instance(), pool);
   const Scenario scenario = health_scenario(failures);
-  obs::RunTrace trace;
-  trace.capture_events = false;  // health needs no event buffers
-  trace.collect_health = true;
+  obs::RunTrace trace = health_trace();
 
   HealthRun run;
   run.result = runner.run(scenario, scheme, trace);
@@ -177,11 +176,10 @@ TEST(HealthPipeline, OfflineAlertAnalysisMatchesInlineByteForByte) {
 
 TEST(HealthPipeline, ChromeTraceGainsAHealthLane) {
   ThreadPool pool(4);
-  Runner runner(models::Zoo::instance(), hw::Catalog::instance(), &pool,
-                health_options());
+  Runner runner(models::Zoo::instance(), hw::Catalog::instance(), &pool);
   const Scenario scenario = health_scenario(true);
-  obs::RunTrace trace;
-  trace.collect_health = true;  // events on too: the lane joins the pids
+  obs::RunTrace trace = health_trace();
+  trace.capture_events = true;  // events on too: the lane joins the pids
   const RunResult result = runner.run(scenario, SchemeId::kPaldia, trace);
   (void)result;
   std::ostringstream chrome;

@@ -10,6 +10,7 @@
 #include "src/exp/summary.hpp"
 #include "src/obs/chrome_trace.hpp"
 #include "src/obs/export.hpp"
+#include "src/obs/health.hpp"
 #include "src/obs/report.hpp"
 #include "src/trace/generators.hpp"
 
@@ -118,11 +119,9 @@ TEST(Runner, CachedVsUncachedBitIdentical) {
   // cache bypassed, while the cache-mode run actually hits. Runs under the
   // pool to exercise the mutex-guarded map from concurrent sweeps.
   ThreadPool pool(8);
-  SchemeFactoryOptions cached_options;
   SchemeFactoryOptions bypass_options;
-  bypass_options.tmax_cache = false;
-  Runner cached(models::Zoo::instance(), hw::Catalog::instance(), &pool,
-                cached_options);
+  bypass_options.paldia.tmax_cache = false;  // Oracle reads it from here too
+  Runner cached(models::Zoo::instance(), hw::Catalog::instance(), &pool);
   Runner bypass(models::Zoo::instance(), hw::Catalog::instance(), &pool,
                 bypass_options);
   auto scenario = short_scenario(models::ModelId::kResNet50, 60.0, seconds(30), 2);
@@ -155,20 +154,16 @@ TEST(Runner, PooledVsBypassBitIdentical) {
   // bypassed. Failures are enabled so the requeue path (the one place
   // blocks travel backwards through the pipeline) is exercised too.
   ThreadPool pool(8);
-  SchemeFactoryOptions pooled_options;
-  SchemeFactoryOptions bypass_options;
-  bypass_options.request_pool = false;
-  Runner pooled(models::Zoo::instance(), hw::Catalog::instance(), &pool,
-                pooled_options);
-  Runner bypass(models::Zoo::instance(), hw::Catalog::instance(), &pool,
-                bypass_options);
+  Runner runner(models::Zoo::instance(), hw::Catalog::instance(), &pool);
   auto scenario = short_scenario(models::ModelId::kResNet50, 60.0, seconds(30), 2);
   scenario.failures = cluster::FailureInjectorConfig{
       .period_ms = seconds(12), .downtime_ms = seconds(4),
       .first_failure_ms = seconds(6)};
+  Scenario bypass = scenario;
+  bypass.framework.request_pool = false;
   for (SchemeId scheme : {SchemeId::kPaldia, SchemeId::kOracle}) {
-    const auto a = pooled.run(scenario, scheme);
-    const auto b = bypass.run(scenario, scheme);
+    const auto a = runner.run(scenario, scheme);
+    const auto b = runner.run(bypass, scheme);
     EXPECT_EQ(a.combined.requests, b.combined.requests) << scheme_name(scheme);
     EXPECT_EQ(a.combined.slo_compliance, b.combined.slo_compliance);
     EXPECT_EQ(a.combined.mean_latency_ms, b.combined.mean_latency_ms);
@@ -180,6 +175,33 @@ TEST(Runner, PooledVsBypassBitIdentical) {
     EXPECT_EQ(a.combined.cold_starts, b.combined.cold_starts);
     EXPECT_EQ(a.combined.slo_violations, b.combined.slo_violations);
   }
+}
+
+TEST(Runner, HonoursCallerRunTraceConfig) {
+  // RunTrace is the only home of the observation settings: with default
+  // factory options the slots must carry the sample rate and health
+  // windows the caller set, not factory or library defaults.
+  Runner runner(models::Zoo::instance(), hw::Catalog::instance());
+  const auto scenario =
+      short_scenario(models::ModelId::kResNet50, 30.0, seconds(20), 2);
+  obs::RunTrace trace;
+  trace.config.sample_rate = 8;
+  trace.collect_health = true;
+  trace.health_config.slo_target = 0.99;
+  trace.health_config.fast_window_ms = 2000.0;
+  trace.health_config.slow_window_ms = 8000.0;
+  runner.run(scenario, SchemeId::kPaldia, trace);
+
+  ASSERT_EQ(trace.reps.size(), 2u);
+  ASSERT_EQ(trace.healths.size(), 2u);
+  for (std::size_t rep = 0; rep < 2; ++rep) {
+    EXPECT_EQ(trace.reps[rep]->config().sample_rate, 8u);
+    const obs::HealthConfig& health = trace.healths[rep]->config();
+    EXPECT_EQ(health.slo_target, 0.99);
+    EXPECT_EQ(health.fast_window_ms, 2000.0);
+    EXPECT_EQ(health.slow_window_ms, 8000.0);
+  }
+  EXPECT_GT(trace.sampled_out(), 0u) << "1-in-8 sampling dropped nothing";
 }
 
 TEST(Runner, RunEndingWithGpuWorkInFlightTearsDownCleanly) {

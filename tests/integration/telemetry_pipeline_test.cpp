@@ -61,13 +61,11 @@ struct Exports {
 
 Exports run_exports(std::uint32_t sample_rate, ThreadPool* pool,
                     const std::string& tag) {
-  SchemeFactoryOptions options;
-  options.sample_rate = sample_rate;
-  Runner runner(models::Zoo::instance(), hw::Catalog::instance(), pool,
-                options);
+  Runner runner(models::Zoo::instance(), hw::Catalog::instance(), pool);
   const Scenario scenario = telemetry_scenario();
 
   obs::RunTrace trace;
+  trace.config.sample_rate = sample_rate;
   trace.collect_rollups = true;
   const RunResult result = runner.run(scenario, SchemeId::kPaldia, trace);
 
@@ -192,9 +190,7 @@ TEST(TelemetryPipeline, RollupOnlyRunReproducesComplianceWithoutTracerSlots) {
   ThreadPool pool(8);
   const Exports full = run_exports(1, &pool, "ro_full");
 
-  SchemeFactoryOptions options;
-  Runner runner(models::Zoo::instance(), hw::Catalog::instance(), &pool,
-                options);
+  Runner runner(models::Zoo::instance(), hw::Catalog::instance(), &pool);
   const Scenario scenario = telemetry_scenario();
   obs::RunTrace trace;
   trace.capture_events = false;  // no event buffers at all
@@ -226,14 +222,12 @@ TEST(TelemetryPipeline, ProfileStaysOutOfByteComparedArtifacts) {
   // every deterministic artifact, and profile rows appear only in the
   // report struct (whose JSON section is emitted just for profiled runs).
   ThreadPool pool(4);
-  SchemeFactoryOptions options;
-  options.sample_rate = 8;
-  Runner runner(models::Zoo::instance(), hw::Catalog::instance(), &pool,
-                options);
+  Runner runner(models::Zoo::instance(), hw::Catalog::instance(), &pool);
   const Scenario scenario = telemetry_scenario();
 
   auto profiled_run = [&] {
     obs::RunTrace trace;
+    trace.config.sample_rate = 8;
     trace.collect_rollups = true;
     trace.profile = true;
     runner.run(scenario, SchemeId::kPaldia, trace);
