@@ -33,20 +33,22 @@ struct BenchOptions {
   /// Streaming scheduler decision log (.csv -> CSV, else JSONL).
   std::string decisions_out;
   /// Analysis report (violation attribution + calibration + occupancy) over
-  /// all runs of the sweep, written as JSON at exit. The same analysis
-  /// `paldia-analyze` performs offline on --trace-out files.
+  /// all runs of the sweep, written as JSON at exit. Attribution folds the
+  /// rollup cells (`paldia-analyze --rollup` computes the same section);
+  /// the trace sections are what `paldia-analyze` reads from --trace-out
+  /// files.
   std::string report_out;
   /// --sample-rate=N: keep every SLO-violating request lifecycle in the
   /// trace plus a deterministic 1-in-N of compliant ones (1 = keep all).
   /// The decision hashes the request id against a fixed seed — never wall
   /// clock or thread ids — so sampled exports stay byte-identical across
-  /// --threads, and report counts stay exact via the tracer's
-  /// sampled_out counters.
+  /// --threads. Report attribution comes from the rollups, so it stays
+  /// exact.
   std::uint32_t sample_rate = 1;
   /// --rollup-out=FILE: windowed per-(model, node, cause) rollup stream
   /// (.csv -> CSV, else JSONL), fed by every completion regardless of
-  /// --sample-rate. `paldia-analyze --rollup` rebuilds compliance and
-  /// attribution from this stream alone.
+  /// --sample-rate. `paldia-analyze --rollup` rebuilds the report's
+  /// attribution section from this stream alone.
   std::string rollup_out;
   /// --profile: time the simulator's own hot paths (event drain, selection
   /// sweep, dispatch/monitor ticks, export flush), print each run's table
@@ -226,13 +228,14 @@ class RunObserver {
   }
 
   /// A RunTrace configured for the enabled streams and the sampling and
-  /// health flags; pass to Runner::run or FleetSim::run.
+  /// health flags; pass to Runner::run or FleetSim::run. The report's
+  /// attribution folds rollup cells, so --report-out collects them too.
   obs::RunTrace make_trace() const {
     obs::RunTrace trace;
     trace.config.sample_rate = sample_rate_;
     trace.health_config = health_config_;
     trace.capture_events = capture_events();
-    trace.collect_rollups = rollups_ != nullptr;
+    trace.collect_rollups = rollups_ != nullptr || !report_out_.empty();
     trace.profile = profile_;
     trace.collect_health = alerts_ != nullptr;
     return trace;
@@ -297,11 +300,13 @@ class RunObserver {
       obs::render_profile_text(std::cerr, profile);
     }
     if (!report_out_.empty()) {
-      // Same analysis paldia-analyze performs on the exported trace file;
-      // extract_run_data quantizes through the exporter formats, so the two
-      // reports come out byte-identical. The self-profile section rides
-      // along only when --profile recorded something; the health section
-      // only when --alerts-out ran a HealthEngine.
+      // Attribution is the fold `paldia-analyze --rollup` runs over the
+      // rollup stream; the trace sections are what `paldia-analyze` reads
+      // from the trace file (extract_run_data quantizes through the
+      // exporter formats), so both offline reports match byte for byte.
+      // The self-profile section rides along only when --profile recorded
+      // something; the health section only when --alerts-out ran a
+      // HealthEngine.
       obs::AnalysisReport report =
           obs::analyze_with_zoo(obs::extract_run_data(trace, label));
       report.profile = std::move(profile);

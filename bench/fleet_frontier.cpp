@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "src/exp/fleet.hpp"
+#include "src/exp/frontier.hpp"
 #include "src/hw/catalog_gen.hpp"
 #include "src/models/profile.hpp"
 #include "src/models/zoo.hpp"
@@ -87,19 +87,19 @@ int main(int argc, char** argv) {
               options.fleet_nodes, options.ticks,
               static_cast<unsigned long long>(options.seed));
 
-  exp::FleetConfig config;
+  exp::FrontierConfig config;
   config.endpoints = options.fleet_nodes;
   config.ticks = options.ticks;
   config.seed = options.seed;
-  const auto schedule = exp::build_fleet_schedule(config, zoo);
+  const auto schedule = exp::build_frontier_schedule(config, zoo);
 
   // Equivalence self-check: the pruned and linear modes must choose
   // identically, bit for bit, over the whole fleet.
   {
-    exp::FleetConfig linear = config;
+    exp::FrontierConfig linear = config;
     linear.prune = false;
-    const auto a = exp::run_fleet(config, schedule, zoo, catalog, profile);
-    const auto b = exp::run_fleet(linear, schedule, zoo, catalog, profile);
+    const auto a = exp::run_frontier(config, schedule, zoo, catalog, profile);
+    const auto b = exp::run_frontier(linear, schedule, zoo, catalog, profile);
     if (a.choice_digest != b.choice_digest) {
       std::fprintf(stderr,
                    "FAIL: pruned (%016llx) and linear (%016llx) choice "
@@ -129,9 +129,9 @@ int main(int argc, char** argv) {
   std::printf("%-9s %10s %12s %12s %11s\n", "headroom", "$/hour",
               "SLO attain", "CPU share", "us/choose");
   for (double headroom : {0.70, 0.75, 0.80, 0.85, 0.90, 0.95}) {
-    exp::FleetConfig point = config;
+    exp::FrontierConfig point = config;
     point.slo_headroom = headroom;
-    const auto result = exp::run_fleet(point, schedule, zoo, catalog, profile);
+    const auto result = exp::run_frontier(point, schedule, zoo, catalog, profile);
     std::printf("%-9.2f %10.2f %11.1f%% %11.1f%% %11.1f\n", headroom,
                 result.fleet_cost_per_hour, 100.0 * result.slo_attainment,
                 100.0 * static_cast<double>(result.cpu_choices) /

@@ -548,9 +548,11 @@ TimeMs Framework::run() {
 }
 
 void Framework::finish_run(TimeMs end) {
-  // Requests still unserved at the drain cap are SLO violations.
+  // Requests still unserved at the drain cap are SLO violations: those the
+  // gateway holds and those inside batches still executing.
   for (auto& workload : workloads_) {
-    const int leftover = gateway_.pending_total(workload.model);
+    const int queued = gateway_.pending_total(workload.model);
+    const int leftover = queued + distributor_->in_flight_requests(workload.model);
     for (int i = 0; i < leftover; ++i) {
       workload.slo->record_completion(0.0, kTimeNever);
       workload.slo->record_violation_cause(telemetry::ViolationCause::kUnserved);
@@ -567,17 +569,9 @@ void Framework::finish_run(TimeMs end) {
       health_->observe_unserved(end, static_cast<int>(workload.model),
                                 static_cast<std::uint64_t>(leftover));
     }
-    if (tracer_ != nullptr && leftover > 0) {
-      // Per-model counter reaches the event stream via the final
-      // sample_counters(end) below; the analyzer reads it back for the
-      // unserved slice of the attribution report.
-      const std::string key =
-          "unserved:" + std::string(models::model_id_name(workload.model));
-      tracer_->count(key.c_str(), static_cast<double>(leftover));
-    }
     unserved_ += static_cast<std::uint64_t>(leftover);
     // Drop them so repeated run() calls (not supported anyway) don't leak.
-    auto rest = gateway_.take(workload.model, leftover, end);
+    auto rest = gateway_.take(workload.model, queued, end);
     (void)rest;
   }
 

@@ -127,8 +127,8 @@ class Framework {
   TimeMs hard_end() const { return trace_end_ms_ + config_.max_drain_ms; }
 
   /// Close out the run at simulated time `end`: count drain-cap leftovers
-  /// as unserved violations, release held nodes, flush final counters,
-  /// finalize health.
+  /// (queued at the gateway or inside batches still executing) as unserved
+  /// violations, release held nodes, flush final counters, finalize health.
   void finish_run(TimeMs end);
 
   // --- Telemetry access (valid after run()) --------------------------------

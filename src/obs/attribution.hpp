@@ -19,9 +19,10 @@
 //   unserved          never completed before the drain cap (recorded
 //                     separately via record_unserved)
 //
-// The classification cascade is a pure function (classify_violation) shared
-// with the offline analyzer (obs/report.cpp), so `paldia-analyze` reproduces
-// the online counts from the exported trace.
+// The classification cascade is a pure function (classify_violation). The
+// framework feeds each completion's verdict to the rollup cells, and the
+// report's attribution section folds those cells (obs/report.hpp), so every
+// report count is this engine's count.
 //
 // Hot-path discipline matches the Tracer: the framework holds an
 // AttributionEngine* that is nullptr when attribution is disabled, so the
@@ -49,9 +50,8 @@ namespace paldia::obs {
 
 class Tracer;
 
-/// Everything the classifier needs about one completed request. The obs
-/// layer uses plain ints for model/node so the offline analyzer can build
-/// samples straight from parsed trace files.
+/// Everything the classifier needs about one completed request (plain ints
+/// for model/node, like the rest of the obs layer).
 struct LifecycleSample {
   std::int64_t request_id = -1;
   int model = -1;  // models::ModelId
@@ -77,8 +77,6 @@ telemetry::ViolationCause classify_violation(const LifecycleSample& sample);
 /// Switch/outage blackout windows. switch_begin and node_failure open a
 /// window; switch_active closes every open window (service is restored on
 /// the new node). Windows that never close extend to the end of the run.
-/// Shared by the online engine and the offline analyzer so both sides agree
-/// on what counts as "waited through a switch".
 class BlackoutWindows {
  public:
   void open(TimeMs now);

@@ -228,10 +228,6 @@ void emit_rep(EventStream& stream, const Tracer& tracer, const Slot& slot,
         if (event.node >= 0) {
           body += ",\"node\":\"" + json_escape(slot.node(event.node)) + "\"";
         }
-        if (event.id >= 0) body += ",\"id\":" + std::to_string(event.id);
-        if (event.model >= 0) {
-          body += ",\"model\":\"" + json_escape(model_name(event.model)) + "\"";
-        }
         body += "}";
         stream.emit(body);
         break;

@@ -53,7 +53,8 @@ bool warn_if_truncated(const RunTrace& trace, const std::string& context) {
   log_warn("trace export '", context, "' is truncated: ", events,
            " events and ", decisions,
            " decision records were dropped (raise TracerConfig capacities); "
-           "attribution/calibration reports over this trace undercount");
+           "the report's calibration, node usage and switch timeline "
+           "undercount (attribution comes from the rollups)");
   return true;
 }
 

@@ -136,9 +136,10 @@ class AlertWriter {
 std::string derive_trace_path(const std::string& base, const std::string& scenario,
                               const std::string& scheme);
 
-/// One-shot WARN when the trace's ring buffers overflowed: an attribution
-/// or calibration report over a truncated trace is quietly wrong, so
-/// truncation must never be silent. Returns true when drops occurred.
+/// One-shot WARN when the trace's ring buffers overflowed: the calibration,
+/// node usage and switch timeline of a report over a truncated trace are
+/// quietly wrong, so truncation must never be silent. Returns true when
+/// drops occurred.
 /// `context` names the export ("fig13 azure/Paldia", a file path, ...).
 bool warn_if_truncated(const RunTrace& trace, const std::string& context);
 

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <map>
 #include <ostream>
 #include <unordered_map>
 
@@ -18,9 +18,6 @@ namespace {
 
 using telemetry::ViolationCause;
 
-constexpr std::string_view kUnservedPrefix = "unserved:";
-constexpr std::string_view kSampledOutPrefix = "sampled_out:";
-
 using common::json_escape;
 constexpr auto num = common::json_number;
 
@@ -31,8 +28,11 @@ int model_index(std::string_view name) {
   return -1;
 }
 
-bool is_blackout_open(std::string_view name) {
-  return name == "switch_begin" || name == "node_failure";
+/// Index of a node label in a repetition's catalog; -1 when unknown.
+int node_of(const RepData& rep, std::string_view name) {
+  const auto& names = rep.node_names;
+  const auto it = std::find(names.begin(), names.end(), name);
+  return name.empty() || it == names.end() ? -1 : static_cast<int>(it - names.begin());
 }
 
 bool is_timeline_event(std::string_view name) {
@@ -40,127 +40,43 @@ bool is_timeline_event(std::string_view name) {
          name == "node_failure" || name == "node_recovered";
 }
 
-/// One repetition's ingestion state, shared verbatim between the inline
-/// (RunTrace) and offline (parsed file) producers so both yield identical
-/// RepData for the same underlying run.
-class RepBuilder {
- public:
-  explicit RepBuilder(RepData& out) : out_(out) {}
+// The shared ingestion steps of both trace producers: the inline extractor
+// passes values already quantized through the exporter's formats, the file
+// parser passes what it read, so both build identical RepData.
 
-  /// Index of a node label in this repetition's catalog; -1 when unknown.
-  int node_of(std::string_view name) const {
-    const auto& names = out_.node_names;
-    const auto it = std::find(names.begin(), names.end(), name);
-    return name.empty() || it == names.end() ? -1 : static_cast<int>(it - names.begin());
-  }
+void add_batch(RepData& rep, int node, TimeMs start_ms, DurationMs dur_ms,
+               TimeMs submit_ms, DurationMs e2e_ms) {
+  RepData::BatchObs obs;
+  obs.node = node;
+  obs.start_ms = start_ms;
+  obs.dur_ms = dur_ms;
+  obs.submit_ms = submit_ms;
+  obs.end_ms = submit_ms + e2e_ms;
+  rep.batches.push_back(obs);
+}
 
-  void on_request_begin(std::int64_t id, TimeMs arrival_ms, int model, int node,
-                        DurationMs solo_ms, DurationMs interference_ms,
-                        DurationMs cold_ms) {
-    LifecycleSample& sample = pending_[id];
-    sample.request_id = id;
-    sample.arrival_ms = arrival_ms;
-    sample.model = model;
-    sample.node = node;
-    sample.solo_ms = solo_ms;
-    sample.interference_ms = interference_ms;
-    sample.cold_ms = cold_ms;
-  }
+void add_decision(RepData& rep, TimeMs t_ms, int node, DurationMs t_max_ms,
+                  int best_y, bool feasible, double predicted_rps,
+                  double observed_rps) {
+  CalibrationInterval interval;
+  interval.t_ms = t_ms;
+  interval.node = node;
+  interval.predicted_tmax_ms = t_max_ms;
+  interval.best_y = best_y;
+  interval.predicted_feasible = feasible;
+  interval.predicted_rps = predicted_rps;
+  interval.observed_rps = observed_rps;
+  rep.ticks.push_back(interval);
+}
 
-  /// Phase close at `t`; "execute" completes the sample.
-  void on_phase_end(std::int64_t id, std::string_view phase, TimeMs t_ms) {
-    const auto it = pending_.find(id);
-    if (it == pending_.end()) return;  // lifecycle head was dropped
-    if (phase == "queue") {
-      it->second.submit_ms = t_ms;
-    } else if (phase == "dispatch") {
-      it->second.start_ms = t_ms;
-    } else if (phase == "execute") {
-      it->second.end_ms = t_ms;
-      out_.requests.push_back(it->second);
-      pending_.erase(it);
-    }
-  }
-
-  void on_batch(int node, TimeMs start_ms, DurationMs dur_ms, TimeMs submit_ms,
-                DurationMs e2e_ms) {
-    RepData::BatchObs obs;
-    obs.node = node;
-    obs.start_ms = start_ms;
-    obs.dur_ms = dur_ms;
-    obs.submit_ms = submit_ms;
-    obs.end_ms = submit_ms + e2e_ms;
-    out_.batches.push_back(obs);
-  }
-
-  void on_decision(TimeMs t_ms, int node, DurationMs t_max_ms, int best_y,
-                   bool feasible, double predicted_rps, double observed_rps) {
-    CalibrationInterval interval;
-    interval.t_ms = t_ms;
-    interval.node = node;
-    interval.predicted_tmax_ms = t_max_ms;
-    interval.best_y = best_y;
-    interval.predicted_feasible = feasible;
-    interval.predicted_rps = predicted_rps;
-    interval.observed_rps = observed_rps;
-    out_.ticks.push_back(interval);
-  }
-
-  void on_instant(std::string_view name, TimeMs t_ms, std::string node,
-                  std::int64_t id) {
-    if (name == "request_requeued") {
-      if (id >= 0) out_.retried.insert(id);
-      return;
-    }
-    if (!is_timeline_event(name)) return;
-    if (is_blackout_open(name)) {
-      out_.blackouts.open(t_ms);
-    } else if (name == "switch_active") {
-      out_.blackouts.close_all(t_ms);
-    }
-    RepData::SwitchEvent event;
-    event.t_ms = t_ms;
-    event.event = std::string(name);
-    event.node = std::move(node);
-    out_.switches.push_back(std::move(event));
-  }
-
-  /// Counter sample; only the last value per counter survives (counters are
-  /// cumulative, so the final sample is the run total).
-  void on_counter(std::string_view name, double value) {
-    if (name.substr(0, kUnservedPrefix.size()) == kUnservedPrefix) {
-      const int model = model_index(name.substr(kUnservedPrefix.size()));
-      if (model >= 0) unserved_last_[model] = value;
-      return;
-    }
-    if (name.substr(0, kSampledOutPrefix.size()) == kSampledOutPrefix) {
-      const std::string_view rest = name.substr(kSampledOutPrefix.size());
-      const std::size_t sep = rest.find(':');
-      if (sep == std::string_view::npos) return;
-      const int model = model_index(rest.substr(0, sep));
-      const int node = node_of(rest.substr(sep + 1));
-      if (model < 0 || node < 0) return;
-      sampled_out_last_[{model, node}] = value;
-    }
-  }
-
-  void finish() {
-    for (const auto& [model, value] : unserved_last_) {
-      const auto count = static_cast<std::uint64_t>(std::llround(value));
-      if (count > 0) out_.unserved[model] = count;
-    }
-    for (const auto& [key, value] : sampled_out_last_) {
-      const auto count = static_cast<std::uint64_t>(std::llround(value));
-      if (count > 0) out_.sampled_out[key] = count;
-    }
-  }
-
- private:
-  RepData& out_;
-  std::unordered_map<std::int64_t, LifecycleSample> pending_;
-  std::map<int, double> unserved_last_;
-  std::map<std::pair<int, int>, double> sampled_out_last_;
-};
+void add_instant(RepData& rep, std::string_view name, TimeMs t_ms, std::string node) {
+  if (!is_timeline_event(name)) return;
+  RepData::SwitchEvent event;
+  event.t_ms = t_ms;
+  event.event = std::string(name);
+  event.node = std::move(node);
+  rep.switches.push_back(std::move(event));
+}
 
 }  // namespace
 
@@ -178,58 +94,109 @@ double quantize_number(double value) {
   return std::strtod(buf, nullptr);
 }
 
+// --- Attribution fold -------------------------------------------------------
+
+void LatencyFold::add(const RollupRow& row) {
+  std::uint64_t count = 0;
+  for (const auto& [value, n] : row.hist) {
+    buckets_.add(value, n);
+    count += n;
+  }
+  if (count == 0) return;
+  sum_ms_ += row.mean_ms * static_cast<double>(count);
+  max_ms_ = std::max(max_ms_, row.max_ms);
+}
+
+SketchSummary LatencyFold::summary() const {
+  SketchSummary s = buckets_.summary();
+  if (s.count == 0) return s;
+  // The buckets know only representatives; the cells knew the exact mean
+  // and max, and no quantile lies above the max.
+  s.mean_ms = sum_ms_ / static_cast<double>(s.count);
+  s.max_ms = max_ms_;
+  s.p50_ms = std::min(s.p50_ms, max_ms_);
+  s.p95_ms = std::min(s.p95_ms, max_ms_);
+  s.p99_ms = std::min(s.p99_ms, max_ms_);
+  return s;
+}
+
+void ReportBucket::add(const RollupRow& row) {
+  completed += row.completed + row.unserved;
+  violations += row.violations + row.unserved;
+  for (std::size_t i = 0; i < causes.size(); ++i) causes[i] += row.causes[i];
+  latency.add(row);
+}
+
+void AttributionFold::add(const RollupRow& row) {
+  folded_ = true;
+  total_.add(row);
+  unserved_ += row.unserved;
+  if (row.model >= 0 && row.model < models::kModelCount) {
+    per_model_[static_cast<std::size_t>(row.model)].add(row);
+  }
+  if (row.node.empty()) return;
+  // Gauge-only cells (no completions) still claim their node's row position,
+  // on both sides alike; rows that never complete a request are dropped in
+  // finish().
+  const auto [it, added] = node_rows_.emplace(row.node, per_node_.size());
+  if (added) {
+    per_node_.emplace_back();
+    per_node_.back().label = row.node;
+  }
+  per_node_[it->second].add(row);
+}
+
+void AttributionFold::finish(AnalysisReport& report) const {
+  report.has_attribution = folded_;
+  report.total = total_;
+  report.total.label = "total";
+  report.unserved = unserved_;
+  report.compliance = total_.completed > 0
+                          ? 1.0 - static_cast<double>(total_.violations) /
+                                      static_cast<double>(total_.completed)
+                          : 1.0;
+  report.per_model.clear();
+  for (int i = 0; i < models::kModelCount; ++i) {
+    if (per_model_[static_cast<std::size_t>(i)].completed == 0) continue;
+    report.per_model.push_back(per_model_[static_cast<std::size_t>(i)]);
+    report.per_model.back().label =
+        std::string(models::model_id_name(models::ModelId(i)));
+  }
+  report.per_node.clear();
+  for (const ReportBucket& bucket : per_node_) {
+    if (bucket.completed > 0) report.per_node.push_back(bucket);
+  }
+}
+
 // --- Inline producer --------------------------------------------------------
 
 RunData extract_run_data(const RunTrace& trace, const std::string& label) {
   RunData out;
   out.label = label;
-  out.reps_declared = static_cast<int>(trace.reps.size());
+  out.reps_declared = static_cast<int>(trace.node_names.size());
   out.dropped_events = trace.dropped_events();
   out.dropped_decisions = trace.dropped_decisions();
+  out.sampled_out = trace.sampled_out();
   out.reps.resize(trace.reps.size());
 
   for (std::size_t rep = 0; rep < trace.reps.size(); ++rep) {
     const Tracer* tracer = trace.reps[rep].get();
     if (tracer == nullptr) continue;
-    if (rep < trace.node_names.size()) out.reps[rep].node_names = trace.node_names[rep];
-    RepBuilder builder(out.reps[rep]);
+    RepData& rd = out.reps[rep];
+    if (rep < trace.node_names.size()) rd.node_names = trace.node_names[rep];
 
     for (const TraceEvent& event : tracer->events()) {
-      switch (event.type) {
-        case TraceEvent::Type::kRequest:
-          builder.on_request_begin(event.id, quantize_timestamp(event.start_ms),
-                                   event.model, event.node,
-                                   quantize_number(event.solo_ms),
-                                   quantize_number(event.interference_ms),
-                                   quantize_number(event.cold_ms));
-          break;
-        case TraceEvent::Type::kPhase:
-          builder.on_phase_end(event.id, event.name,
-                               quantize_timestamp(event.end_ms));
-          break;
-        case TraceEvent::Type::kBatch: {
-          // Mirror chrome_trace.cpp's field arithmetic exactly, then
-          // quantize through the same formats a file reader sees.
-          const double submit_ms = event.start_ms - event.value;
-          builder.on_batch(event.node, quantize_timestamp(event.start_ms),
-                           quantize_timestamp(event.end_ms - event.start_ms),
-                           quantize_number(submit_ms),
-                           quantize_number(event.end_ms - submit_ms));
-          break;
-        }
-        case TraceEvent::Type::kInstant:
-          builder.on_instant(event.name, quantize_timestamp(event.start_ms),
-                             trace.node_name(rep, event.node), event.id);
-          break;
-        case TraceEvent::Type::kCounter: {
-          const char* name =
-              event.counter_name != nullptr ? event.counter_name : event.name;
-          if (name != nullptr) builder.on_counter(name, quantize_number(event.value));
-          break;
-        }
-        case TraceEvent::Type::kSpanBegin:
-        case TraceEvent::Type::kSpanEnd:
-          break;
+      if (event.type == TraceEvent::Type::kBatch) {
+        // Mirror chrome_trace.cpp's field arithmetic exactly, then
+        // quantize through the same formats a file reader sees.
+        const double submit_ms = event.start_ms - event.value;
+        add_batch(rd, event.node, quantize_timestamp(event.start_ms),
+                  quantize_timestamp(event.end_ms - event.start_ms),
+                  quantize_number(submit_ms),
+                  quantize_number(event.end_ms - submit_ms));
+      } else if (event.type == TraceEvent::Type::kInstant) {
+        add_instant(rd, event.name, quantize_timestamp(event.start_ms),
+                    trace.node_name(rep, event.node));
       }
     }
 
@@ -237,16 +204,37 @@ RunData extract_run_data(const RunTrace& trace, const std::string& label) {
       if (!record.has_sweep) continue;
       for (const CandidateEval& candidate : record.candidates) {
         if (candidate.node != record.final_choice) continue;
-        builder.on_decision(quantize_timestamp(record.t_ms),
-                            static_cast<int>(record.final_choice),
-                            quantize_number(candidate.t_max_ms), candidate.best_y,
-                            candidate.feasible,
-                            quantize_number(record.predicted_rps),
-                            quantize_number(record.observed_rps));
+        add_decision(rd, quantize_timestamp(record.t_ms),
+                     static_cast<int>(record.final_choice),
+                     quantize_number(candidate.t_max_ms), candidate.best_y,
+                     candidate.feasible, quantize_number(record.predicted_rps),
+                     quantize_number(record.observed_rps));
         break;
       }
     }
-    builder.finish();
+  }
+
+  // Attribution: every rollup cell in RollupWriter order, in the form its
+  // row carries (the latency mean, max and bucket representatives
+  // quantized through "%.10g").
+  for (std::size_t rep = 0; rep < trace.rollups.size(); ++rep) {
+    const RollupAggregator* rollup = trace.rollups[rep].get();
+    if (rollup == nullptr) continue;
+    for (const auto& [key, cell] : rollup->cells()) {
+      RollupRow row;
+      row.model = key.model;
+      row.node = trace.node_name(rep, key.node);
+      row.completed = cell.completed;
+      row.violations = cell.violations;
+      row.unserved = cell.unserved;
+      row.causes = cell.causes;
+      const Histogram& latency = cell.latency.histogram();
+      row.mean_ms = quantize_number(latency.mean());
+      row.max_ms = quantize_number(latency.max());
+      row.hist = latency.nonzero_buckets();
+      for (auto& bucket : row.hist) bucket.first = quantize_number(bucket.first);
+      out.attribution.add(row);
+    }
   }
   return out;
 }
@@ -291,25 +279,13 @@ bool parse_chrome_trace(const common::JsonValue& root, const std::string& label,
         Slot{std::atoi(name.c_str() + at + 4),
              name.substr(kFramework.size(), name.size() - kFramework.size() - 1)};
   }
-  // Size for every slot up front: builders keep references into out->reps.
   for (const auto& [pid, slot] : slots) {
     out->reps.resize(std::max(out->reps.size(), static_cast<std::size_t>(slot.rep) + 1));
   }
 
-  // Builders are created on demand per repetition; events within a rep
-  // appear in recording order (the exporter writes rep blocks sequentially).
-  std::vector<std::unique_ptr<RepBuilder>> builders;
-  const auto builder_for = [&](int rep) -> RepBuilder& {
-    if (static_cast<std::size_t>(rep) >= builders.size()) {
-      builders.resize(static_cast<std::size_t>(rep) + 1);
-    }
-    if (builders[static_cast<std::size_t>(rep)] == nullptr) {
-      builders[static_cast<std::size_t>(rep)] =
-          std::make_unique<RepBuilder>(out->reps[static_cast<std::size_t>(rep)]);
-    }
-    return *builders[static_cast<std::size_t>(rep)];
-  };
-
+  // Events within a rep appear in recording order (the exporter writes rep
+  // blocks sequentially). Request spans, phases and counters carry nothing
+  // the trace sections read.
   for (const common::JsonValue& event : events->as_array()) {
     const std::string ph = event.string_or("ph", "");
     const int pid = static_cast<int>(event.number_or("pid", 0));
@@ -318,7 +294,7 @@ bool parse_chrome_trace(const common::JsonValue& root, const std::string& label,
     if (ph.empty() || owner == slots.begin()) continue;
     --owner;
     const int base = owner->first;
-    const int rep = owner->second.rep;
+    RepData& rd = out->reps[static_cast<std::size_t>(owner->second.rep)];
     const TimeMs t_ms = event.number_or("ts", 0.0) / 1000.0;
     const std::string name = event.string_or("name", "");
     const common::JsonValue* args = event.find("args");
@@ -328,31 +304,16 @@ bool parse_chrome_trace(const common::JsonValue& root, const std::string& label,
       const std::string tail = " (" + owner->second.suffix + ")";
       const std::string process = args != nullptr ? args->string_or("name", "") : "";
       if (name != "process_name" || pid == base || !process.ends_with(tail)) continue;
-      auto& names = out->reps[static_cast<std::size_t>(rep)].node_names;
       const auto index = static_cast<std::size_t>(pid - base - 1);
-      names.resize(std::max(names.size(), index + 1));
-      names[index] = process.substr(0, process.size() - tail.size());
-    } else if (ph == "b" && name == "request") {
-      if (args == nullptr) continue;
-      RepBuilder& builder = builder_for(rep);
-      builder.on_request_begin(
-          static_cast<std::int64_t>(event.number_or("id", -1)), t_ms,
-          model_index(args->string_or("model", "")),
-          builder.node_of(args->string_or("node", "")), args->number_or("solo_ms", 0.0),
-          args->number_or("interference_ms", 0.0),
-          args->number_or("cold_start_ms", 0.0));
-    } else if (ph == "e") {
-      builder_for(rep).on_phase_end(
-          static_cast<std::int64_t>(event.number_or("id", -1)), name, t_ms);
+      rd.node_names.resize(std::max(rd.node_names.size(), index + 1));
+      rd.node_names[index] = process.substr(0, process.size() - tail.size());
     } else if (ph == "X") {
       // The self-profile lane (--profile) also emits "X" slices; only batch
       // slices carry batch_id, and profile timings must never reach the
       // deterministic report path.
       if (args == nullptr || args->find("batch_id") == nullptr) continue;
-      builder_for(rep).on_batch(pid - base - 1, t_ms,
-                                event.number_or("dur", 0.0) / 1000.0,
-                                args->number_or("submit_ms", 0.0),
-                                args->number_or("e2e_ms", 0.0));
+      add_batch(rd, pid - base - 1, t_ms, event.number_or("dur", 0.0) / 1000.0,
+                args->number_or("submit_ms", 0.0), args->number_or("e2e_ms", 0.0));
     } else if (ph == "i") {
       if (name == "hardware_selection") {
         if (args == nullptr) continue;
@@ -361,40 +322,26 @@ bool parse_chrome_trace(const common::JsonValue& root, const std::string& label,
         const std::string final_node = args->string_or("final", "");
         for (const common::JsonValue& candidate : candidates->as_array()) {
           if (candidate.string_or("node", "") != final_node) continue;
-          RepBuilder& builder = builder_for(rep);
-          builder.on_decision(
-              t_ms, builder.node_of(final_node), candidate.number_or("t_max_ms", 0.0),
-              static_cast<int>(candidate.number_or("best_y", 0)),
-              candidate.bool_or("feasible", false),
-              args->number_or("predicted_rps", 0.0),
-              args->number_or("observed_rps", 0.0));
+          add_decision(rd, t_ms, node_of(rd, final_node),
+                       candidate.number_or("t_max_ms", 0.0),
+                       static_cast<int>(candidate.number_or("best_y", 0)),
+                       candidate.bool_or("feasible", false),
+                       args->number_or("predicted_rps", 0.0),
+                       args->number_or("observed_rps", 0.0));
           break;
         }
       } else {
-        std::string node;
-        std::int64_t id = -1;
-        if (args != nullptr) {
-          node = args->string_or("node", "");
-          id = static_cast<std::int64_t>(args->number_or("id", -1));
-        }
-        builder_for(rep).on_instant(name, t_ms, std::move(node), id);
+        add_instant(rd, name, t_ms, args != nullptr ? args->string_or("node", "") : "");
       }
-    } else if (ph == "C") {
-      if (args != nullptr) builder_for(rep).on_counter(name, args->number_or("value", 0.0));
     }
-  }
-  for (const auto& builder : builders) {
-    if (builder != nullptr) builder->finish();
   }
   return true;
 }
 
 // --- Shared analysis --------------------------------------------------------
 
-AnalysisReport analyze(
-    const RunData& data,
-    const std::array<DurationMs, models::kModelCount>& slo_by_model,
-    DurationMs slo_ms, DurationMs rate_horizon_ms) {
+AnalysisReport analyze(const RunData& data, DurationMs slo_ms,
+                       DurationMs rate_horizon_ms) {
   AnalysisReport report;
   report.label = data.label;
   report.reps = static_cast<int>(
@@ -402,7 +349,8 @@ AnalysisReport analyze(
                             static_cast<std::size_t>(std::max(0, data.reps_declared))));
   report.dropped_events = data.dropped_events;
   report.dropped_decisions = data.dropped_decisions;
-  report.total.label = "total";
+  report.sampled_out = data.sampled_out;
+  data.attribution.finish(report);
 
   // Node rows key by catalog name, so nodes of different slot catalogs (a
   // fleet's slices) never merge. Rows follow catalog index, then slot — a
@@ -429,8 +377,6 @@ AnalysisReport analyze(
     }
   }
 
-  std::array<ReportBucket, models::kModelCount> per_model;
-  std::vector<ReportBucket> per_node(node_labels.size());
   struct UsageAcc {
     std::uint64_t batches = 0;
     DurationMs busy_ms = 0.0;
@@ -448,65 +394,6 @@ AnalysisReport analyze(
                  ? node_row[rep][static_cast<std::size_t>(node)]
                  : -1;
     };
-
-    for (LifecycleSample sample : rd.requests) {
-      // Mirror AttributionEngine::observe_request exactly.
-      const bool model_ok = sample.model >= 0 && sample.model < models::kModelCount;
-      const int row = row_of(sample.node);
-      sample.retried = rd.retried.count(sample.request_id) > 0;
-      sample.blackout = rd.blackouts.overlaps(sample.arrival_ms, sample.start_ms);
-      const DurationMs latency = sample.end_ms - sample.arrival_ms;
-      span_ms = std::max(span_ms, sample.end_ms);
-
-      ++report.total.completed;
-      report.total.latency.insert(latency);
-      if (model_ok) {
-        ++per_model[sample.model].completed;
-        per_model[sample.model].latency.insert(latency);
-      }
-      if (row >= 0) {
-        ++per_node[row].completed;
-        per_node[row].latency.insert(latency);
-      }
-      if (!model_ok || latency <= slo_by_model[sample.model]) continue;
-
-      const ViolationCause cause = classify_violation(sample);
-      const auto index = static_cast<std::size_t>(cause);
-      ++report.total.violations;
-      ++report.total.causes[index];
-      ++per_model[sample.model].violations;
-      ++per_model[sample.model].causes[index];
-      if (row >= 0) {
-        ++per_node[row].violations;
-        ++per_node[row].causes[index];
-      }
-    }
-
-    for (const auto& [model, count] : rd.unserved) {
-      const auto index = static_cast<std::size_t>(ViolationCause::kUnserved);
-      report.total.completed += count;
-      report.total.violations += count;
-      report.total.causes[index] += count;
-      report.unserved += count;
-      if (model >= 0 && model < models::kModelCount) {
-        per_model[model].completed += count;
-        per_model[model].violations += count;
-        per_model[model].causes[index] += count;
-      }
-    }
-
-    // Sampled-out lifecycles were SLO-compliant by construction (the sampler
-    // keeps every violator), so they restore completed counts only — never
-    // violations. Latency sketches stay sample-only.
-    for (const auto& [key, count] : rd.sampled_out) {
-      const auto& [model, node] = key;
-      report.total.completed += count;
-      report.sampled_out += count;
-      if (model >= 0 && model < models::kModelCount) {
-        per_model[model].completed += count;
-      }
-      if (const int row = row_of(node); row >= 0) per_node[row].completed += count;
-    }
 
     // Calibration: fold batch observations into their decision interval
     // (same arithmetic as CalibrationTracker::observe_batch).
@@ -543,33 +430,13 @@ AnalysisReport analyze(
     span_sum_ms += span_ms;
   }
 
-  report.compliance =
-      report.total.completed > 0
-          ? 1.0 - static_cast<double>(report.total.violations) /
-                      static_cast<double>(report.total.completed)
-          : 1.0;
-  report.total.index = -1;
   report.calibration = summarize_calibration(all_ticks, slo_ms, rate_horizon_ms);
   for (NodeCalibration& row : report.calibration.per_node) {
     if (row.node >= 0) row.label = node_labels[static_cast<std::size_t>(row.node)];
   }
-
-  for (int i = 0; i < models::kModelCount; ++i) {
-    if (per_model[i].completed == 0) continue;
-    per_model[i].index = i;
-    per_model[i].label = std::string(models::model_id_name(models::ModelId(i)));
-    report.per_model.push_back(std::move(per_model[i]));
-  }
-  for (std::size_t i = 0; i < node_labels.size(); ++i) {
-    if (per_node[i].completed == 0) continue;
-    per_node[i].index = static_cast<int>(i);
-    per_node[i].label = node_labels[i];
-    report.per_node.push_back(std::move(per_node[i]));
-  }
   for (std::size_t i = 0; i < node_labels.size(); ++i) {
     if (usage[i].batches == 0) continue;
     NodeUsage row;
-    row.node = static_cast<int>(i);
     row.label = node_labels[i];
     row.batches = usage[i].batches;
     row.busy_ms = usage[i].busy_ms;
@@ -581,15 +448,13 @@ AnalysisReport analyze(
 
 AnalysisReport analyze_with_zoo(const RunData& data) {
   const models::Zoo& zoo = models::Zoo::instance();
-  std::array<DurationMs, models::kModelCount> slo_by_model{};
   DurationMs min_slo = kTimeNever;
   for (int i = 0; i < models::kModelCount; ++i) {
-    slo_by_model[i] = zoo.spec(models::ModelId(i)).slo_ms;
-    min_slo = std::min(min_slo, slo_by_model[i]);
+    min_slo = std::min(min_slo, zoo.spec(models::ModelId(i)).slo_ms);
   }
   const CalibrationTracker::Config defaults;
   if (!std::isfinite(min_slo)) min_slo = defaults.slo_ms;
-  return analyze(data, slo_by_model, min_slo, defaults.rate_horizon_ms);
+  return analyze(data, min_slo, defaults.rate_horizon_ms);
 }
 
 // --- Self-profile summary ---------------------------------------------------
@@ -761,14 +626,13 @@ bool analyze_alert_stream(const std::string& text,
 
   for (RunAcc& acc : runs) {
     acc.report.reps = acc.max_rep + 1;
-    acc.report.total.index = -1;
     finish_health(acc.report.health);
     out->push_back(std::move(acc.report));
   }
   return true;
 }
 
-// --- Rollup-only consumer ---------------------------------------------------
+// --- Rollup-stream consumer -------------------------------------------------
 
 bool analyze_rollup_stream(const std::string& text,
                            std::vector<AnalysisReport>* out,
@@ -780,122 +644,54 @@ bool analyze_rollup_stream(const std::string& text,
     return false;
   }
 
-  // Per-run accumulation in first-appearance order; the dense per-model
-  // array compacts into the report at the end, like analyze(). Node rows
-  // key by name in first-appearance order (the stream carries no catalog).
-  struct RunAcc {
-    AnalysisReport report;
-    std::array<ReportBucket, models::kModelCount> per_model{};
-    std::vector<ReportBucket> per_node;
-    std::unordered_map<std::string, int> node_rows;
-    int max_rep = -1;
-  };
-  std::vector<RunAcc> runs;
+  std::vector<RunData> runs;  // first-appearance order of the run labels
   std::unordered_map<std::string, std::size_t> run_index;
-
   for (const common::JsonValue& row : parsed.rows) {
     if (!row.is_object()) {
       if (error != nullptr) *error = "rollup row is not an object";
       return false;
     }
     const std::string label = row.string_or("run", "");
-    auto [it, inserted] = run_index.emplace(label, runs.size());
+    const auto [it, inserted] = run_index.emplace(label, runs.size());
     if (inserted) {
       runs.emplace_back();
-      runs.back().report.label = label;
-      runs.back().report.total.label = "total";
+      runs.back().label = label;
     }
-    RunAcc& acc = runs[it->second];
-    acc.max_rep = std::max(acc.max_rep,
-                           static_cast<int>(row.number_or("rep", 0.0)));
+    RunData& run = runs[it->second];
+    run.reps_declared =
+        std::max(run.reps_declared, static_cast<int>(row.number_or("rep", 0.0)) + 1);
 
-    const int model = model_index(row.string_or("model", ""));
-    int node = -1;
-    if (std::string name = row.string_or("node", ""); !name.empty()) {
-      const auto [at, added] = acc.node_rows.emplace(
-          std::move(name), static_cast<int>(acc.per_node.size()));
-      if (added) {
-        acc.per_node.emplace_back();
-        acc.per_node.back().label = at->first;
-      }
-      node = at->second;
-    }
-    const auto completed =
-        static_cast<std::uint64_t>(row.number_or("completed", 0.0));
-    const auto violations =
-        static_cast<std::uint64_t>(row.number_or("violations", 0.0));
-    const auto unserved =
-        static_cast<std::uint64_t>(row.number_or("unserved", 0.0));
-
-    // A completion row carries completed/violations; an unserved row (node
-    // = -1) carries unserved, which counts as completed + violated with
-    // cause kUnserved — both already folded into the row's causes object.
-    acc.report.total.completed += completed + unserved;
-    acc.report.total.violations += violations + unserved;
-    acc.report.unserved += unserved;
-    if (model >= 0) {
-      acc.per_model[model].completed += completed + unserved;
-      acc.per_model[model].violations += violations + unserved;
-    }
-    if (node >= 0) {
-      acc.per_node[node].completed += completed;
-      acc.per_node[node].violations += violations;
-    }
-
-    if (const common::JsonValue* causes = row.find("causes");
-        causes != nullptr && causes->is_object()) {
+    RollupRow cell;
+    cell.model = model_index(row.string_or("model", ""));
+    cell.node = row.string_or("node", "");
+    cell.completed = static_cast<std::uint64_t>(row.number_or("completed", 0.0));
+    cell.violations = static_cast<std::uint64_t>(row.number_or("violations", 0.0));
+    cell.unserved = static_cast<std::uint64_t>(row.number_or("unserved", 0.0));
+    if (const common::JsonValue* causes = row.find("causes")) {
       for (int i = 0; i < telemetry::kViolationCauseCount; ++i) {
-        const auto count = static_cast<std::uint64_t>(causes->number_or(
-            telemetry::violation_cause_name(static_cast<ViolationCause>(i)),
-            0.0));
-        if (count == 0) continue;
-        const auto index = static_cast<std::size_t>(i);
-        acc.report.total.causes[index] += count;
-        if (model >= 0) acc.per_model[model].causes[index] += count;
-        if (node >= 0) acc.per_node[node].causes[index] += count;
+        cell.causes[static_cast<std::size_t>(i)] =
+            static_cast<std::uint64_t>(causes->number_or(
+                telemetry::violation_cause_name(static_cast<ViolationCause>(i)),
+                0.0));
       }
     }
-
-    // The sparse histogram round-trips the cell's QuantileSketch exactly:
-    // bucket representatives map back into the bucket that produced them.
+    if (const common::JsonValue* latency = row.find("latency")) {
+      cell.mean_ms = latency->number_or("mean_ms", 0.0);
+      cell.max_ms = latency->number_or("max_ms", 0.0);
+    }
     if (const common::JsonValue* hist = row.find("hist");
         hist != nullptr && hist->is_array()) {
       for (const common::JsonValue& pair : hist->as_array()) {
         if (!pair.is_array() || pair.as_array().size() != 2) continue;
-        const double value = pair.as_array()[0].as_number();
-        const auto count =
-            static_cast<std::uint64_t>(pair.as_array()[1].as_number());
-        if (count == 0) continue;
-        acc.report.total.latency.add(value, count);
-        if (model >= 0) acc.per_model[model].latency.add(value, count);
-        if (node >= 0) acc.per_node[node].latency.add(value, count);
+        cell.hist.emplace_back(
+            pair.as_array()[0].as_number(),
+            static_cast<std::uint64_t>(pair.as_array()[1].as_number()));
       }
     }
+    run.attribution.add(cell);
   }
 
-  for (RunAcc& acc : runs) {
-    AnalysisReport& report = acc.report;
-    report.reps = acc.max_rep + 1;
-    report.total.index = -1;
-    report.compliance =
-        report.total.completed > 0
-            ? 1.0 - static_cast<double>(report.total.violations) /
-                        static_cast<double>(report.total.completed)
-            : 1.0;
-    for (int i = 0; i < models::kModelCount; ++i) {
-      if (acc.per_model[i].completed == 0) continue;
-      acc.per_model[i].index = i;
-      acc.per_model[i].label =
-          std::string(models::model_id_name(models::ModelId(i)));
-      report.per_model.push_back(std::move(acc.per_model[i]));
-    }
-    for (std::size_t i = 0; i < acc.per_node.size(); ++i) {
-      if (acc.per_node[i].completed == 0) continue;
-      acc.per_node[i].index = static_cast<int>(i);
-      report.per_node.push_back(std::move(acc.per_node[i]));
-    }
-    out->push_back(std::move(report));
-  }
+  for (const RunData& run : runs) out->push_back(analyze_with_zoo(run));
   return true;
 }
 
@@ -922,21 +718,24 @@ void render_report_text(std::ostream& out,
   for (const AnalysisReport& report : runs) {
     out << "=== " << report.label << " (" << report.reps << " rep"
         << (report.reps == 1 ? "" : "s") << ") ===\n";
-    out << "requests " << report.total.completed << " | violations "
-        << report.total.violations << " (" << Table::percent(report.compliance)
-        << " compliant) | unserved " << report.unserved;
-    if (report.sampled_out > 0) {
-      out << " | sampled out " << report.sampled_out << " (counts exact)";
+    if (report.has_attribution) {
+      out << "requests " << report.total.completed << " | violations "
+          << report.total.violations << " (" << Table::percent(report.compliance)
+          << " compliant) | unserved " << report.unserved << "\n";
     }
-    out << "\n";
+    if (report.sampled_out > 0) {
+      out << "trace sampling left out " << report.sampled_out
+          << " compliant lifecycles\n";
+    }
     if (report.dropped_events > 0 || report.dropped_decisions > 0) {
       out << "WARNING: trace truncated (" << report.dropped_events
           << " events, " << report.dropped_decisions
-          << " decisions dropped) — counts below undercount\n";
+          << " decisions dropped) — calibration, node usage and the switch "
+             "timeline below undercount\n";
     }
 
-    out << "\nViolation attribution:\n";
-    {
+    if (report.has_attribution) {
+      out << "\nViolation attribution:\n";
       Table table({"cause", "count", "share"});
       for (std::size_t i = 0; i < report.total.causes.size(); ++i) {
         if (report.total.causes[i] == 0) continue;
@@ -969,21 +768,37 @@ void render_report_text(std::ostream& out,
     }
 
     if (!report.per_node.empty() || !report.node_usage.empty()) {
+      // Attribution rows (rollup first-appearance order) join node_usage
+      // (catalog order) by node name; nodes with batches but no attribution
+      // row follow with "-" in the attribution columns.
       out << "\nPer-node:\n";
       Table table({"node", "completed", "violations", "p99 ms", "batches",
                    "busy s", "occupancy"});
-      for (const ReportBucket& bucket : report.per_node) {
-        const NodeUsage* usage = nullptr;
+      const auto usage_of = [&](const std::string& label) -> const NodeUsage* {
         for (const NodeUsage& row : report.node_usage) {
-          if (row.node == bucket.index) usage = &row;
+          if (row.label == label) return &row;
         }
-        table.add_row(
-            {bucket.label, std::to_string(bucket.completed),
-             std::to_string(bucket.violations),
-             Table::num(bucket.latency.summary().p99_ms),
-             usage != nullptr ? std::to_string(usage->batches) : "0",
-             usage != nullptr ? Table::num(usage->busy_ms / 1000.0) : "0",
-             usage != nullptr ? Table::num(usage->occupancy) : "0"});
+        return nullptr;
+      };
+      const auto add_row = [&](const std::string& label, std::string completed,
+                               std::string violations, std::string p99) {
+        const NodeUsage* usage = usage_of(label);
+        table.add_row({label, std::move(completed), std::move(violations),
+                       std::move(p99),
+                       usage != nullptr ? std::to_string(usage->batches) : "0",
+                       usage != nullptr ? Table::num(usage->busy_ms / 1000.0) : "0",
+                       usage != nullptr ? Table::num(usage->occupancy) : "0"});
+      };
+      for (const ReportBucket& bucket : report.per_node) {
+        add_row(bucket.label, std::to_string(bucket.completed),
+                std::to_string(bucket.violations),
+                Table::num(bucket.latency.summary().p99_ms));
+      }
+      for (const NodeUsage& row : report.node_usage) {
+        const bool attributed =
+            std::any_of(report.per_node.begin(), report.per_node.end(),
+                        [&](const ReportBucket& b) { return b.label == row.label; });
+        if (!attributed) add_row(row.label, "-", "-", "-");
       }
       table.print(out);
     }
@@ -1104,8 +919,8 @@ void write_causes(std::ostream& out, const telemetry::ViolationCauseCounts& caus
   out << "}";
 }
 
-void write_latency(std::ostream& out, const QuantileSketch& sketch) {
-  const SketchSummary summary = sketch.summary();
+void write_latency(std::ostream& out, const LatencyFold& latency) {
+  const SketchSummary summary = latency.summary();
   out << "{\"count\":" << summary.count << ",\"mean_ms\":" << num(summary.mean_ms)
       << ",\"p50_ms\":" << num(summary.p50_ms)
       << ",\"p95_ms\":" << num(summary.p95_ms)
@@ -1134,12 +949,12 @@ void write_report_json(std::ostream& out, const std::vector<AnalysisReport>& run
     out << "{\"label\":\"" << json_escape(report.label)
         << "\",\"reps\":" << report.reps
         << ",\"meta\":{\"dropped_events\":" << report.dropped_events
+        << ",\"sampled_out\":" << report.sampled_out
         << ",\"dropped_decisions\":" << report.dropped_decisions << "}";
 
     out << ",\"attribution\":{\"requests\":" << report.total.completed
         << ",\"violations\":" << report.total.violations
         << ",\"unserved\":" << report.unserved
-        << ",\"sampled_out\":" << report.sampled_out
         << ",\"compliance\":" << num(report.compliance) << ",\"causes\":";
     write_causes(out, report.total.causes);
     out << ",\"latency\":";

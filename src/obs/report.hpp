@@ -1,32 +1,35 @@
-// Offline/inline analysis of exported observability data: SLO-violation
-// attribution breakdown, analytical-model calibration, per-node occupancy,
-// and the hardware-switch timeline — one AnalysisReport per (scenario,
-// scheme) run, rendered as a human-readable text report and/or JSON.
+// The analysis report: SLO-violation attribution, analytical-model
+// calibration, per-node occupancy and the hardware-switch timeline, one
+// AnalysisReport per (scenario, scheme) run, rendered as text and/or JSON.
 //
-// Two producers, one consumer:
-//   - extract_run_data(RunTrace)  — inline, at the end of a run (the
-//     bench drivers' --report-out flag);
-//   - parse_chrome_trace(json)    — offline, from an exported trace file
-//     (the `paldia-analyze` tool).
-// Both produce the same RunData and share analyze(), so the offline report
-// reproduces the inline numbers exactly. To make that parity *byte*-exact,
-// the inline extractor quantizes every value through the exporter's textual
-// formats (quantize_timestamp / quantize_number below) — the same
-// snprintf/strtod round trip a file read performs.
+// Attribution (request counts, violations by cause, compliance, latency,
+// per-model and per-node rows) is one fold over rollup cells
+// (AttributionFold). extract_run_data feeds it a RunTrace's aggregators in
+// RollupWriter order; analyze_rollup_stream feeds it the parsed rows of a
+// rollup stream. Both see the same cells in the same exported form, so the
+// inline --report-out section and `paldia-analyze --rollup` are
+// byte-identical, and both count every completion whatever the trace's
+// sample rate or buffer size.
+//
+// Calibration, node usage and the switch timeline come from the tracer's
+// batch events, instants and decision records: extract_run_data reads them
+// from the RunTrace, parse_chrome_trace from an exported trace file. To make
+// those sections byte-identical, the inline extractor quantizes every value
+// through the exporter's textual formats (quantize_timestamp /
+// quantize_number below), the same snprintf/strtod round trip a file read
+// performs.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/common/json.hpp"
 #include "src/common/units.hpp"
-#include "src/obs/attribution.hpp"
 #include "src/obs/calibration.hpp"
 #include "src/obs/sketch.hpp"
 #include "src/obs/tracer.hpp"
@@ -40,16 +43,13 @@ double quantize_timestamp(TimeMs ms);
 /// value -> the double a reader recovers from a "%.10g" numeric field.
 double quantize_number(double value);
 
-/// Everything analyze() needs about one repetition, in exporter-quantized
-/// form (see header comment). Node tags are indices into node_names.
+/// The trace-derived inputs of one repetition, in exporter-quantized form
+/// (see header comment). Node tags are indices into node_names.
 struct RepData {
   /// The repetition's catalog names by node index. Inline: the whole slot
   /// catalog (RunTrace::node_names). Offline: the nodes the trace names —
   /// every node a request or batch ran on — with "" in the gaps.
   std::vector<std::string> node_names;
-  std::vector<LifecycleSample> requests;  // retried/blackout flags unset
-  std::unordered_set<std::int64_t> retried;
-  BlackoutWindows blackouts;
   /// Monitor ticks that carried a candidate sweep (observation fields are
   /// filled by analyze() from `batches`).
   std::vector<CalibrationInterval> ticks;
@@ -61,11 +61,6 @@ struct RepData {
     DurationMs dur_ms = 0.0;
   };
   std::vector<BatchObs> batches;
-  std::map<int, std::uint64_t> unserved;  // model -> drain-cap leftovers
-  /// (model, node) -> lifecycles the sampler dropped from the trace. The
-  /// tracer exports these as cumulative "sampled_out:<model>:<node>"
-  /// counters so attribution totals stay exact under --sample-rate > 1.
-  std::map<std::pair<int, int>, std::uint64_t> sampled_out;
   struct SwitchEvent {
     TimeMs t_ms = 0.0;
     std::string event;  // switch_begin / switch_active / node_failure / ...
@@ -74,26 +69,52 @@ struct RepData {
   std::vector<SwitchEvent> switches;
 };
 
-struct RunData {
-  std::string label;
-  int reps_declared = 0;  // slot count (file metadata / RunTrace size)
-  std::uint64_t dropped_events = 0;
-  std::uint64_t dropped_decisions = 0;
-  std::vector<RepData> reps;
+/// One rollup cell in the form RollupWriter exports it, which is all the
+/// attribution fold reads. Numbers are the doubles a reader recovers from
+/// the row's "%.10g" fields.
+struct RollupRow {
+  int model = -1;    // models::ModelId; -1 = cluster-wide gauge rows
+  std::string node;  // catalog name; "" = unserved rows (no node)
+  std::uint64_t completed = 0;
+  std::uint64_t violations = 0;
+  std::uint64_t unserved = 0;
+  telemetry::ViolationCauseCounts causes{};
+  /// The cell's exact latency mean and max.
+  double mean_ms = 0.0;
+  double max_ms = 0.0;
+  /// Sparse latency histogram: (bucket representative, count) pairs.
+  std::vector<std::pair<double, std::uint64_t>> hist;
+};
+
+/// A report latency distribution folded from rollup cells. The bucket
+/// counts, and so p50/p95/p99, come from the cells' sparse histograms;
+/// mean_ms and max_ms come from the cells' exact means and maxima, never
+/// from bucket representatives.
+class LatencyFold {
+ public:
+  void add(const RollupRow& row);
+  std::uint64_t count() const { return buckets_.count(); }
+  SketchSummary summary() const;
+
+ private:
+  QuantileSketch buckets_;
+  double sum_ms_ = 0.0;  // sum over cells of count x mean
+  double max_ms_ = 0.0;
 };
 
 /// Attribution cell for one model or node (or the run total).
 struct ReportBucket {
   std::string label;  // model or node name; node rows key by it
-  int index = -1;  // model index / the run's node row; -1 for the total
-  std::uint64_t completed = 0;
+  std::uint64_t completed = 0;  // includes unserved requests
   std::uint64_t violations = 0;
   telemetry::ViolationCauseCounts causes{};
-  QuantileSketch latency;
+  LatencyFold latency;
+
+  /// Fold one cell: an unserved request counts as completed and violating.
+  void add(const RollupRow& row);
 };
 
 struct NodeUsage {
-  int node = -1;  // the run's node row (ReportBucket::index)
   std::string label;
   std::uint64_t batches = 0;
   DurationMs busy_ms = 0.0;
@@ -162,45 +183,81 @@ struct AnalysisReport {
   int reps = 0;
   std::uint64_t dropped_events = 0;
   std::uint64_t dropped_decisions = 0;
+  /// Compliant lifecycles trace sampling left out of the trace. Attribution
+  /// is unaffected: it folds rollup cells, which see every completion.
+  std::uint64_t sampled_out = 0;
 
+  /// False when the run's input carried no rollup cells (a trace-only or
+  /// alert-only report); the attribution fields below are then empty.
+  bool has_attribution = false;
   ReportBucket total;                    // completed includes unserved
   std::uint64_t unserved = 0;
-  /// Lifecycles dropped by trace sampling; already added back into the
-  /// completed counts above (latency sketches cover kept samples only).
-  std::uint64_t sampled_out = 0;
   double compliance = 1.0;               // 1 - violations / completed
   std::vector<ReportBucket> per_model;   // model index ascending, non-empty
-  /// One row per distinct node name, non-empty, ordered by catalog index
-  /// then repetition (Table II runs: Table II order). The calibration and
-  /// node_usage node rows follow the same order.
+  /// One row per distinct node name, non-empty, in the rollup cells'
+  /// first-appearance order.
   std::vector<ReportBucket> per_node;
 
   CalibrationSummary calibration;
-  std::vector<NodeUsage> node_usage;     // per_node order, non-empty
+  /// One row per distinct node name that ran a batch, ordered by catalog
+  /// index then repetition (Table II runs: Table II order). Calibration
+  /// node rows follow the same order.
+  std::vector<NodeUsage> node_usage;
   std::vector<TimelineEntry> switch_timeline;  // rep order, then time order
   std::vector<PhaseProfile> profile;     // --profile only; else empty
   HealthReport health;                   // --alerts-out only; else disabled
 };
 
-/// Inline producer: quantized RunData straight from the tracer slots
-/// (iterated in repetition order — identical bytes for any thread count).
+/// The report's attribution section as one fold over rollup cells. Cells
+/// must arrive in RollupWriter order (repetition, then cell key), which
+/// fixes the per-node row order: first appearance.
+class AttributionFold {
+ public:
+  void add(const RollupRow& row);
+  /// Fill the report's attribution fields (has_attribution, total,
+  /// unserved, compliance, per_model, per_node).
+  void finish(AnalysisReport& report) const;
+
+ private:
+  bool folded_ = false;
+  ReportBucket total_;
+  std::uint64_t unserved_ = 0;
+  std::array<ReportBucket, models::kModelCount> per_model_;
+  std::vector<ReportBucket> per_node_;
+  std::unordered_map<std::string, std::size_t> node_rows_;
+};
+
+/// Everything analyze() needs about one run.
+struct RunData {
+  std::string label;
+  int reps_declared = 0;  // slot count (file metadata / RunTrace size)
+  std::uint64_t dropped_events = 0;
+  std::uint64_t dropped_decisions = 0;
+  std::uint64_t sampled_out = 0;
+  std::vector<RepData> reps;
+  AttributionFold attribution;
+};
+
+/// Inline producer: the trace sections' inputs straight from the tracer
+/// slots, quantized, plus the attribution fold over the rollup slots, both
+/// in repetition order (identical bytes for any thread count).
 RunData extract_run_data(const RunTrace& trace, const std::string& label);
 
-/// Offline producer: RunData from a parsed Chrome-trace JSON document
-/// (write_chrome_trace output). Node labels and each repetition's pid block
-/// come from the trace's process-name metadata. Returns false and sets
-/// `error` when the document is not a trace export.
+/// Offline producer of the trace sections: RunData from a parsed
+/// Chrome-trace JSON document (write_chrome_trace output). Node labels and
+/// each repetition's pid block come from the trace's process-name metadata.
+/// A trace carries no rollup cells, so the report has no attribution.
+/// Returns false and sets `error` when the document is not a trace export.
 bool parse_chrome_trace(const common::JsonValue& root, const std::string& label,
                         RunData* out, std::string* error);
 
-/// Shared consumer. `slo_by_model[m]` gates violations; `slo_ms` is the
-/// calibration guarantee threshold and `rate_horizon_ms` the EWMA forecast
-/// horizon (framework defaults: min model SLO, 7 s).
-AnalysisReport analyze(const RunData& data,
-                       const std::array<DurationMs, models::kModelCount>& slo_by_model,
-                       DurationMs slo_ms, DurationMs rate_horizon_ms);
+/// Shared consumer. `slo_ms` is the calibration guarantee threshold and
+/// `rate_horizon_ms` the EWMA forecast horizon (framework defaults: min
+/// model SLO, 7 s).
+AnalysisReport analyze(const RunData& data, DurationMs slo_ms,
+                       DurationMs rate_horizon_ms);
 
-/// analyze() with the model zoo's SLOs and framework-default horizon.
+/// analyze() with the model zoo's minimum SLO and framework-default horizon.
 AnalysisReport analyze_with_zoo(const RunData& data);
 
 /// Merge the RunTrace's per-repetition Profilers into report rows, in
@@ -222,14 +279,13 @@ bool analyze_alert_stream(const std::string& text,
                           std::vector<AnalysisReport>* out,
                           std::string* error);
 
-/// Rollup-only consumer: rebuild per-run AnalysisReports from a rollup
-/// JSONL stream (RollupWriter output) without any full trace. Rows group by
-/// their "run" label in first-appearance order; node rows key by name in
-/// first-appearance order (the stream carries no catalog index). Only the attribution
-/// sections are recoverable — compliance, violation/cause counts, and
-/// latency sketches (rebuilt exactly from each row's sparse histogram);
-/// calibration / node usage / switch timeline need the full trace and stay
-/// empty. Returns false and sets `error` on malformed input.
+/// Rollup-stream consumer (`paldia-analyze --rollup`): per-run reports from
+/// a rollup JSONL stream (RollupWriter output). Rows group by their "run"
+/// label in first-appearance order, and each run's rows feed the same
+/// AttributionFold the inline report uses, so its attribution section
+/// equals the inline one byte for byte. Calibration, node usage and the
+/// switch timeline need the trace and stay empty. Returns false and sets
+/// `error` on malformed input.
 bool analyze_rollup_stream(const std::string& text,
                            std::vector<AnalysisReport>* out,
                            std::string* error);

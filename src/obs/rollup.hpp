@@ -9,10 +9,10 @@
 // queue depth and in-flight batches sampled on monitor ticks.
 //
 // Memory is bounded by windows x (models+1) x (nodes+1) regardless of
-// request count or sample rate, which is what lets a fleet run export
-// compliance and attribution without any full trace on disk:
-// `paldia-analyze --rollup` rebuilds the report's compliance/attribution
-// sections from this stream alone (obs/report.hpp).
+// request count or sample rate. The report's attribution section is one
+// fold over these cells (AttributionFold, obs/report.hpp): --report-out
+// folds the aggregators, `paldia-analyze --rollup` the exported rows, with
+// byte-identical results and no full trace needed.
 //
 // Determinism: cells live in a std::map keyed (window, model, node), so
 // export iteration order is sorted and independent of completion order;
@@ -77,8 +77,8 @@ class RollupAggregator {
   explicit RollupAggregator(RollupConfig config = {});
 
   /// One completed request. `cause` is engaged exactly when the request
-  /// violated its SLO (the attribution engine's verdict, so rollup-derived
-  /// violation/cause counts match the full-trace report).
+  /// violated its SLO (the attribution engine's verdict, so the report's
+  /// violation/cause counts match the RunMetrics row).
   void observe_completion(TimeMs end_ms, int model, int node,
                           DurationMs latency_ms,
                           const std::optional<telemetry::ViolationCause>& cause);

@@ -8,11 +8,10 @@
 // The keep/drop decision is a pure function of (request id, seed) — never
 // wall clock, thread id, or arrival order — so the sampled trace is
 // byte-identical across --threads, exactly like the unsampled exports.
-// Exact request counts are preserved out-of-band: the Tracer tallies
-// every sampled-out completion per (model, node) and flushes the tallies into
-// its counter registry as "sampled_out:<model>:<node>", which the report
-// analyzer adds back so attribution/compliance/calibration stay exact while
-// span volume drops by the sample rate.
+// Sampling thins the trace only: the report's attribution folds the rollup
+// cells, which observe every completion, so its counts and latencies are
+// exact at any sample rate. The Tracer counts what it left out
+// (sampled_out_total), and the report's meta section carries the total.
 #pragma once
 
 #include <cstdint>

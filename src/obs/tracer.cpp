@@ -72,7 +72,7 @@ void compose_lifecycle(TraceEvent* out, std::int64_t request_id,
 }  // namespace
 
 bool Tracer::sample_keep(std::int64_t request_id, models::ModelId model,
-                         hw::NodeType node, TimeMs arrival_ms, TimeMs end_ms) {
+                         TimeMs arrival_ms, TimeMs end_ms) {
   if (sampler_.pass_through()) return true;
   const auto m = static_cast<int>(model);
   const DurationMs slo =
@@ -80,10 +80,6 @@ bool Tracer::sample_keep(std::int64_t request_id, models::ModelId model,
                                           : kTimeNever;
   const bool violated = end_ms - arrival_ms > slo;
   if (sampler_.keep(request_id, violated)) return true;
-  const auto n = static_cast<std::size_t>(node);
-  if (m >= 0 && m < models::kModelCount && n < node_names_.size()) {
-    ++sampled_out_[static_cast<std::size_t>(m) * node_names_.size() + n];
-  }
   ++sampled_out_total_;
   return false;
 }
@@ -95,7 +91,7 @@ void Tracer::record_request_lifecycle(std::int64_t request_id, models::ModelId m
                                       TimeMs start_ms, TimeMs end_ms,
                                       DurationMs solo_ms, DurationMs interference_ms,
                                       DurationMs cold_ms) {
-  if (!sample_keep(request_id, model, node, arrival_ms, end_ms)) return;
+  if (!sample_keep(request_id, model, arrival_ms, end_ms)) return;
   // Parent + 3 phases are stored atomically so every retained request has a
   // complete, contiguous decomposition (phases sum to end - arrival).
   TraceEvent events[4];
@@ -116,8 +112,7 @@ void Tracer::record_batch_lifecycles(const cluster::Request* requests, int count
   scratch_.resize(static_cast<std::size_t>(count) * 4);
   std::size_t kept = 0;
   for (int i = 0; i < count; ++i) {
-    if (!sample_keep(requests[i].id.value, model, node, requests[i].arrival_ms,
-                     end_ms)) {
+    if (!sample_keep(requests[i].id.value, model, requests[i].arrival_ms, end_ms)) {
       continue;
     }
     compose_lifecycle(scratch_.data() + kept * 4, requests[i].id.value, model,
@@ -189,19 +184,6 @@ void Tracer::instant(const char* name, TimeMs now, double value) {
   push(event);
 }
 
-void Tracer::request_requeued(std::int64_t request_id, models::ModelId model,
-                              TimeMs now, hw::NodeType node) {
-  if (!reserve(1)) return;
-  TraceEvent event;
-  event.type = TraceEvent::Type::kInstant;
-  event.name = "request_requeued";
-  event.id = request_id;
-  event.model = static_cast<std::int16_t>(model);
-  event.node = static_cast<std::int16_t>(node);
-  event.start_ms = event.end_ms = now;
-  push(event);
-}
-
 void Tracer::begin_span(const char* name, TimeMs now) {
   span_stack_.push_back(name);
   if (!reserve(1)) return;
@@ -239,24 +221,7 @@ void Tracer::gauge(const char* name, TimeMs now, double value, int model_tag) {
   push(event);
 }
 
-void Tracer::flush_sampled_out_counters() {
-  if (sampled_out_total_ == 0) return;
-  for (int m = 0; m < models::kModelCount; ++m) {
-    for (std::size_t n = 0; n < node_names_.size(); ++n) {
-      const std::uint64_t dropped =
-          sampled_out_[static_cast<std::size_t>(m) * node_names_.size() + n];
-      if (dropped == 0) continue;
-      std::string key = "sampled_out:";
-      key += models::model_id_name(static_cast<models::ModelId>(m));
-      key += ':';
-      key += node_names_[n];
-      counters_[key] = static_cast<double>(dropped);  // cumulative, not +=
-    }
-  }
-}
-
 void Tracer::sample_counters(TimeMs now) {
-  flush_sampled_out_counters();
   for (const auto& [name, value] : counters_) {  // map order: deterministic
     if (!reserve(1)) return;
     TraceEvent event;
@@ -305,7 +270,7 @@ void RunTrace::clear_slots() {
 
 void RunTrace::add_slot(const hw::Catalog& catalog) {
   std::vector<std::string> names = catalog.names();
-  if (capture_events) reps.push_back(std::make_unique<Tracer>(config, names));
+  if (capture_events) reps.push_back(std::make_unique<Tracer>(config));
   if (collect_rollups) {
     rollups.push_back(std::make_unique<RollupAggregator>(rollup_config));
   }

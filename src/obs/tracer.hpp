@@ -51,8 +51,8 @@ struct TracerConfig {
   std::size_t decision_capacity = 65'536;
   /// Lifecycle sample rate: keep every SLO-violating request plus a
   /// deterministic 1-in-sample_rate of compliant ones (1 = keep all).
-  /// Sampled-out completions are tallied per (model, node) and surfaced as
-  /// "sampled_out:<model>:<node>" counters so report counts stay exact.
+  /// Sampling thins the trace only: the report's attribution folds the
+  /// rollup cells, which see every completion.
   std::uint32_t sample_rate = 1;
   /// Seed for the sampler's request-id hash (see obs/sampler.hpp).
   std::uint64_t sampler_seed = kDefaultSamplerSeed;
@@ -132,15 +132,8 @@ struct DecisionRecord {
 
 class Tracer {
  public:
-  /// `node_names` are the observed cluster's catalog names by node index;
-  /// they label the sampled-out counters (which are tallied only for nodes
-  /// the table covers).
-  explicit Tracer(TracerConfig config = {}, std::vector<std::string> node_names = {})
-      : config_(config),
-        sampler_(config.sample_rate, config.sampler_seed),
-        node_names_(std::move(node_names)),
-        sampled_out_(static_cast<std::size_t>(models::kModelCount) *
-                     node_names_.size()) {
+  explicit Tracer(TracerConfig config = {})
+      : config_(config), sampler_(config.sample_rate, config.sampler_seed) {
     slo_ms_.fill(kTimeNever);
   }
   Tracer(const Tracer&) = delete;
@@ -195,13 +188,6 @@ class Tracer {
   void instant(const char* name, TimeMs now, hw::NodeType node, double value = 0.0);
   void instant(const char* name, TimeMs now, double value = 0.0);
 
-  /// A failed batch sent this request back to the gateway: emits a
-  /// "request_requeued" instant carrying the request id, so the offline
-  /// analyzer can rebuild the retried-request set the attribution engine
-  /// tracks online.
-  void request_requeued(std::int64_t request_id, models::ModelId model, TimeMs now,
-                        hw::NodeType node);
-
   // --- Explicit nested spans ----------------------------------------------
   /// Open/close a named span on the framework track. Properly nested
   /// (LIFO); an end that does not match the innermost open span is counted
@@ -213,8 +199,8 @@ class Tracer {
 
   // --- Counter/gauge registry ----------------------------------------------
   /// Accumulate a named counter (no event emitted; sample_counters() dumps
-  /// the totals). The registry keys by copied string, so dynamic names
-  /// (e.g. "unserved:<model>") are safe here, unlike gauge().
+  /// the totals). The registry keys by copied string, so dynamic names are
+  /// safe here, unlike gauge().
   void count(const char* name, double delta = 1.0);
   /// Emit one gauge sample event. model_tag tags the sample with a model
   /// (e.g. per-model queue depth); -1 = untagged.
@@ -241,20 +227,16 @@ class Tracer {
   const TracerConfig& config() const { return config_; }
   const TraceSampler& sampler() const { return sampler_; }
   /// Compliant lifecycles the sampler dropped (not stored, not counted as
-  /// dropped_events — the per-(model, node) totals live in the counter
-  /// registry as "sampled_out:<model>:<node>" after sample_counters()).
+  /// dropped_events; the report's meta section carries the total).
   std::uint64_t sampled_out_total() const { return sampled_out_total_; }
 
  private:
   bool reserve(std::size_t n);
   void push(const TraceEvent& event);
-  /// Sampling decision for one completed request; tallies the drop when it
+  /// Sampling decision for one completed request; counts the drop when it
   /// says no. Pure in (request_id, SLO verdict) — see obs/sampler.hpp.
   bool sample_keep(std::int64_t request_id, models::ModelId model,
-                   hw::NodeType node, TimeMs arrival_ms, TimeMs end_ms);
-  /// Fold the sampled-out tallies into the counter registry so the next
-  /// sample_counters() emits them in sorted-key order with everything else.
-  void flush_sampled_out_counters();
+                   TimeMs arrival_ms, TimeMs end_ms);
 
   TracerConfig config_;
   TraceSampler sampler_;
@@ -268,8 +250,6 @@ class Tracer {
   std::uint64_t dropped_events_ = 0;
   std::uint64_t dropped_decisions_ = 0;
   std::uint64_t unbalanced_ = 0;
-  std::vector<std::string> node_names_;
-  std::vector<std::uint64_t> sampled_out_;  // [model * node_names_.size() + node]
   std::uint64_t sampled_out_total_ = 0;
 };
 
@@ -284,7 +264,8 @@ struct RunTrace {
   /// When false, no tracer slots are allocated: a rollup- or profile-only
   /// run observes every completion in fixed memory with no event buffers.
   bool capture_events = true;
-  /// Allocate one RollupAggregator per repetition (--rollup-out).
+  /// Allocate one RollupAggregator per repetition (--rollup-out, and
+  /// --report-out, whose attribution section folds the cells).
   bool collect_rollups = false;
   /// Allocate one Profiler per repetition (--profile).
   bool profile = false;

@@ -1,8 +1,9 @@
 // Fleet-scale determinism contract: a multi-endpoint FleetSim run — E
 // gateways over a sliced generated catalog, one shared simulator — must
 // produce byte-identical exports (Chrome trace, metrics rows, decision log,
-// analysis report) with and without a thread pool. This is the test-suite
-// twin of the CI fleet smoke (bench/fleet_sim byte-compare).
+// analysis report) with and without a thread pool, and must account for
+// every routed arrival. This is the test-suite twin of the CI fleet smoke
+// (bench/fleet_sim byte-compare).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include "src/obs/health.hpp"
 #include "src/obs/report.hpp"
 #include "src/trace/generators.hpp"
+#include "tests/report_sections.hpp"
 
 namespace paldia::exp {
 namespace {
@@ -65,6 +67,7 @@ Exports run_exports(const hw::Catalog& catalog, ThreadPool* pool,
   const Scenario scenario = fleet_scenario();
 
   obs::RunTrace trace;
+  trace.collect_rollups = true;  // the report's attribution folds them
   const FleetSimResult result =
       sim.run(scenario, SchemeId::kPaldia, kEndpoints, &trace);
   EXPECT_EQ(static_cast<std::size_t>(result.endpoints), trace.reps.size());
@@ -230,7 +233,8 @@ TEST(FleetSim, NodesCarryTheirCatalogNamesThroughEveryExport) {
     expect_catalog_name(entry.node, "report switch timeline");
   }
 
-  // The offline analyzer reads the same names back out of the trace.
+  // The offline analyzer reads the same names back: the trace sections out
+  // of the trace, the attribution out of the rollup stream.
   std::ostringstream chrome;
   obs::write_chrome_trace(chrome, trace, scenario.name);
   const auto parsed = common::parse_json(chrome.str());
@@ -239,11 +243,40 @@ TEST(FleetSim, NodesCarryTheirCatalogNamesThroughEveryExport) {
   std::string error;
   ASSERT_TRUE(obs::parse_chrome_trace(parsed.value, scenario.name, &offline, &error))
       << error;
-  std::ostringstream inline_json;
-  std::ostringstream offline_json;
-  obs::write_report_json(inline_json, {report});
-  obs::write_report_json(offline_json, {obs::analyze_with_zoo(offline)});
-  EXPECT_EQ(inline_json.str(), offline_json.str());
+  EXPECT_EQ(obs::test::trace_sections_json(report),
+            obs::test::trace_sections_json(obs::analyze_with_zoo(offline)));
+  std::vector<obs::AnalysisReport> from_rollups;
+  ASSERT_TRUE(obs::analyze_rollup_stream(rollups.str(), &from_rollups, &error))
+      << error;
+  ASSERT_EQ(from_rollups.size(), 1u);
+  EXPECT_EQ(obs::test::attribution_json(report),
+            obs::test::attribution_json(from_rollups[0]));
+}
+
+TEST(FleetSim, Gen16OverFourEndpointsConservesArrivalsAtTheDrainCap) {
+  // fleet_sim --catalog=gen:16 --endpoints=4 --requests=60000 --duration=60:
+  // the drain cap stops the run with batches still executing. Their
+  // requests count as unserved, so the endpoints' rows (completed +
+  // unserved) add up to every routed arrival.
+  const hw::Catalog catalog =
+      hw::generate_catalog(*hw::parse_catalog_spec("gen:16"));
+  Scenario scenario;
+  scenario.name = "fleet-poisson";
+  trace::PoissonOptions poisson;
+  poisson.duration_ms = seconds(60);
+  poisson.mean_rps = 1000.0;
+  poisson.seed = 4;
+  scenario.workloads.push_back(WorkloadSpec{
+      models::ModelId::kResNet50, trace::make_poisson_trace(poisson)});
+  FleetSim sim(models::Zoo::instance(), catalog);
+  const FleetSimResult result = sim.run(scenario, SchemeId::kPaldia, kEndpoints);
+  std::uint64_t completed_or_unserved = 0;
+  for (const RunResult& endpoint : result.per_endpoint) {
+    completed_or_unserved += endpoint.combined.requests;
+  }
+  EXPECT_GT(result.unserved, 0u) << "the run should end with work left";
+  EXPECT_EQ(completed_or_unserved, result.total_requests);
+  EXPECT_EQ(result.combined.requests, result.total_requests);
 }
 
 TEST(FleetSim, RequestIdsUniqueAcrossEndpointTraces) {

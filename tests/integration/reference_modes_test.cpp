@@ -94,6 +94,7 @@ Fig04Exports run_fig04(const SchemeFactoryOptions& options, bool request_pool) {
     scenario.framework.request_pool = request_pool;
     for (const SchemeId scheme : main_schemes()) {
       obs::RunTrace trace;
+      trace.collect_rollups = true;  // the report's attribution folds them
       const RunResult result = runner.run(scenario, scheme, trace);
       const std::string label = scenario.name + " / " + scheme_name(scheme);
       metrics_writer.write(result.combined, "fig04");

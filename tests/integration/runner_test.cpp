@@ -13,6 +13,7 @@
 #include "src/obs/health.hpp"
 #include "src/obs/report.hpp"
 #include "src/trace/generators.hpp"
+#include "tests/report_sections.hpp"
 
 namespace paldia::exp {
 namespace {
@@ -215,8 +216,41 @@ TEST(Runner, RunEndingWithGpuWorkInFlightTearsDownCleanly) {
   const auto result = runner.run_once(scenario, SchemeId::kMpsOnlyPerf, 3);
   const auto arrivals = scenario.workloads.front().trace.total_requests();
   EXPECT_GT(result.combined.requests, 0u);
-  // Requests in flight at the cap are neither completed nor unserved.
-  EXPECT_LT(result.combined.requests, arrivals);
+  // Requests still executing at the cap count as unserved, so every
+  // arrival is either completed or unserved.
+  EXPECT_EQ(result.combined.requests, arrivals);
+}
+
+TEST(Runner, ReportAttributionExactWhenTraceBufferOverflows) {
+  // A fig04 cell whose trace buffer holds a sliver of its lifecycles: the
+  // report's attribution folds the rollup cells, which see every
+  // completion, so it still matches the metrics row exactly.
+  Runner runner(models::Zoo::instance(), hw::Catalog::instance());
+  const Scenario scenario = azure_scenario(models::ModelId::kVgg19, 1);
+  obs::RunTrace trace;
+  trace.config.event_capacity = 4096;
+  trace.collect_rollups = true;
+  const RunResult result = runner.run(scenario, SchemeId::kPaldia, trace);
+  ASSERT_GT(trace.dropped_events(), 0u) << "the buffer should overflow";
+
+  const obs::AnalysisReport report =
+      obs::analyze_with_zoo(obs::extract_run_data(trace, scenario.name));
+  const telemetry::RunMetrics& row = result.combined;
+  EXPECT_EQ(report.total.completed, row.requests);
+  EXPECT_EQ(static_cast<double>(report.total.violations), row.slo_violations);
+  for (std::size_t i = 0; i < report.total.causes.size(); ++i) {
+    EXPECT_EQ(static_cast<double>(report.total.causes[i]), row.violations_by_cause[i])
+        << telemetry::violation_cause_name(static_cast<telemetry::ViolationCause>(i));
+  }
+
+  // `paldia-analyze --rollup` over the exported stream folds the same cells.
+  std::ostringstream rollups;
+  obs::RollupWriter(rollups, obs::ExportFormat::kJsonl).write(trace, scenario.name);
+  std::vector<obs::AnalysisReport> offline;
+  std::string error;
+  ASSERT_TRUE(obs::analyze_rollup_stream(rollups.str(), &offline, &error)) << error;
+  ASSERT_EQ(offline.size(), 1u);
+  EXPECT_EQ(obs::test::attribution_json(offline[0]), obs::test::attribution_json(report));
 }
 
 std::string slurp(const std::string& path) {
@@ -243,6 +277,7 @@ Exports failure_run_exports(ThreadPool* pool, SchemeId scheme,
       .period_ms = seconds(12), .downtime_ms = seconds(4),
       .first_failure_ms = seconds(6)};
   obs::RunTrace trace;
+  trace.collect_rollups = true;  // the report's attribution folds them
   const RunResult result = runner.run(scenario, scheme, trace);
 
   Exports exports;

@@ -299,7 +299,8 @@ TEST(RollupRoundTrip, AnalyzeRollupStreamRebuildsAttribution) {
   EXPECT_EQ(report.total.latency.count(), 10u);
 
   ASSERT_EQ(report.per_model.size(), 1u);
-  EXPECT_EQ(report.per_model[0].index, kModel);
+  EXPECT_EQ(report.per_model[0].label,
+            models::model_id_name(static_cast<models::ModelId>(kModel)));
   EXPECT_EQ(report.per_model[0].completed, 13u);
   EXPECT_EQ(report.per_model[0].violations, 5u);
   ASSERT_EQ(report.per_node.size(), 1u);

@@ -1,23 +1,21 @@
 // paldia-analyze: offline report over exported observability artifacts.
 //
-//   paldia-analyze trace1.json [trace2.json ...] [options]
+//   paldia-analyze [trace1.json ...] [--rollup PATH] [--alerts PATH] [options]
 //
-// Ingests Chrome-trace exports (bench --trace-out files, one per
-// scenario/scheme run), reconstructs the SLO-violation attribution and
-// analytical-model calibration the framework computed online, and prints a
-// human-readable report. The analysis core (src/obs/report.cpp) is shared
-// with the drivers' inline --report-out path, so the offline numbers are
-// byte-identical to the inline ones.
-//
-// Rollup-only mode ingests a --rollup-out JSONL stream instead of (or in
-// addition to) full traces: compliance and attribution are rebuilt from the
-// windowed cells alone, without any lifecycle trace on disk. Alert mode
-// (--alerts) likewise rebuilds the report's "health" section — incident
-// timeline, MTTD, false-positive rate — from an --alerts-out JSONL stream,
-// byte-identical to the inline --report-out section.
+// Each input yields report runs for the sections it carries, computed by
+// the same code as the drivers' inline --report-out (src/obs/report.cpp),
+// so every section is byte-identical to its inline counterpart:
+//   - a rollup stream (--rollup, from --rollup-out) gives the attribution
+//     section: requests, violations by cause, compliance, latency and the
+//     per-model / per-node rows, folded from the windowed cells;
+//   - Chrome-trace exports (--trace-out files, one per scenario/scheme run)
+//     give calibration, node usage and the switch timeline, rebuilt from
+//     the batch events, instants and decision records;
+//   - an alert stream (--alerts, from --alerts-out) gives the "health"
+//     section: incident timeline, MTTD, false-positive rate.
 //
 // Options:
-//   --rollup PATH       rebuild reports from a rollup JSONL stream
+//   --rollup PATH       attribution from a rollup JSONL stream
 //   --alerts PATH       rebuild health reports from an alert JSONL stream
 //   --report-out PATH   also write the report as JSON
 //   --metrics PATH      echo a metrics JSONL/CSV export (cross-check section)
@@ -66,7 +64,8 @@ std::string label_for_path(const std::string& path) {
 void print_usage(std::FILE* out, const char* argv0) {
   std::fprintf(out,
                "usage: %s [trace.json ...] [options]\n"
-               "  --rollup PATH      rebuild reports from a rollup JSONL stream\n"
+               "  --rollup PATH      attribution from a rollup JSONL stream\n"
+               "                     (--rollup-out output)\n"
                "  --alerts PATH      rebuild health reports from an alert JSONL\n"
                "                     stream (--alerts-out output)\n"
                "  --report-out PATH  also write the report as JSON\n"
@@ -75,8 +74,9 @@ void print_usage(std::FILE* out, const char* argv0) {
                "  --json             print the JSON report to stdout\n"
                "  --quiet            suppress the text report\n"
                "  --help, -h         this message\n"
-               "at least one trace file, --rollup, or --alerts stream is "
-               "required\n",
+               "trace files give calibration, node usage and the switch\n"
+               "timeline; at least one trace file, --rollup, or --alerts\n"
+               "stream is required\n",
                argv0);
 }
 
