@@ -313,7 +313,10 @@ class RunObserver {
       report.health = obs::summarize_health(trace);
       reports_.push_back(std::move(report));
     }
-    obs::warn_if_truncated(trace, figure_ + " " + label);
+    // Only the Chrome trace and the report read the event buffer; a
+    // decision-log-only run is truncated only if decision records dropped.
+    obs::warn_if_truncated(trace, figure_ + " " + label,
+                           !trace_out_.empty() || !report_out_.empty());
   }
 
  private:

@@ -110,6 +110,54 @@ void BM_SelectionSweepLinearLargeCatalog(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectionSweepLinearLargeCatalog);
 
+// The baselines' batch-fit query (INFless/Molecule/offline hybrid size
+// batches to the largest one whose solo latency fits 75% of the SLO): every
+// vision model on every Table II node per iteration. ProfileTable answers
+// by binary search; the linear variant is the scan it replaced, kept here as
+// the same-run reference for CI's ratio gate.
+template <typename Fit>
+void ProfileMaxBatchWithin(benchmark::State& state, Fit fit) {
+  static const models::ProfileTable profile(hw::Catalog::instance());
+  const auto& zoo = models::Zoo::instance();
+  const std::vector<models::ModelId> vision = zoo.vision_models();
+  const std::size_t nodes = hw::Catalog::instance().size();
+  std::int64_t queries = 0;
+  for (auto _ : state) {
+    for (const models::ModelId id : vision) {
+      const models::ModelSpec& model = zoo.spec(id);
+      for (std::size_t n = 0; n < nodes; ++n) {
+        benchmark::DoNotOptimize(
+            fit(profile, model, static_cast<hw::NodeType>(n), model.slo_ms * 0.75));
+        ++queries;
+      }
+    }
+  }
+  state.SetItemsProcessed(queries);
+}
+
+void BM_ProfileMaxBatchWithin(benchmark::State& state) {
+  ProfileMaxBatchWithin(state, [](const models::ProfileTable& profile,
+                                  const models::ModelSpec& model, hw::NodeType node,
+                                  DurationMs budget_ms) {
+    return profile.max_batch_within(model, node, budget_ms);
+  });
+}
+BENCHMARK(BM_ProfileMaxBatchWithin);
+
+void BM_ProfileMaxBatchWithinLinear(benchmark::State& state) {
+  ProfileMaxBatchWithin(state, [](const models::ProfileTable& profile,
+                                  const models::ModelSpec& model, hw::NodeType node,
+                                  DurationMs budget_ms) {
+    int best = 0;
+    for (int bs = 1; bs <= model.max_batch; ++bs) {
+      if (profile.lookup(model, node, bs).solo_ms > budget_ms) break;
+      best = bs;
+    }
+    return best;
+  });
+}
+BENCHMARK(BM_ProfileMaxBatchWithinLinear);
+
 void BM_EventQueueChurn(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator simulator;
@@ -401,15 +449,25 @@ BENCHMARK(BM_AttributionDisabledHook);
 
 void BM_AttributionObserve(benchmark::State& state) {
   // Enabled-path cost per completed request: classify + three bucket
-  // updates (total, per-model, per-node) + one sketch insert each.
+  // updates (total, per-model, per-node) + one sketch insert each, plus the
+  // blackout-overlap query against the windows a Paldia repetition opens
+  // (~190 hardware switches, the last one still open).
   obs::AttributionEngine engine(models::Zoo::instance());
+  constexpr int kSwitches = 190;
+  constexpr double kSpanMs = 200000.0;
+  for (int i = 0; i < kSwitches; ++i) {
+    const double begin = i * kSpanMs / (kSwitches + 1);
+    engine.on_switch_begin(begin);
+    engine.on_switch_active(begin + 300.0);
+  }
+  engine.on_switch_begin(kSpanMs * kSwitches / (kSwitches + 1));
   obs::LifecycleSample sample;
   sample.model = static_cast<int>(models::ModelId::kResNet50);
   sample.node = static_cast<int>(hw::NodeType::kG3s_xlarge);
   std::int64_t id = 0;
-  double t = 0.0;
   for (auto _ : state) {
-    t += 1.0;
+    // Requests spread over the whole run, so most fall between windows.
+    const double t = static_cast<double>((id * 37) % static_cast<std::int64_t>(kSpanMs));
     sample.request_id = id++;
     sample.arrival_ms = t;
     sample.submit_ms = t + 3.0;

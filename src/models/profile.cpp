@@ -72,17 +72,28 @@ ProfileEntry ProfileTable::lookup(const ModelSpec& model, hw::NodeType node,
 
 int ProfileTable::max_batch_within(const ModelSpec& model, hw::NodeType node,
                                    DurationMs budget_ms) const {
-  int best = 0;
-  // Latency is monotone in batch size, so binary search would do; the range
-  // is <= 128, a linear scan is simpler and just as fast in context.
-  for (int bs = 1; bs <= model.max_batch; ++bs) {
-    if (lookup(model, node, bs).solo_ms <= budget_ms) {
-      best = bs;
+  // Isolated latency is monotone non-decreasing in batch size on every GPU
+  // and CPU spec: each factor of gpu_solo_ms / cpu_solo_ms is, and IEEE
+  // rounding preserves the order. The largest fitting batch is therefore a
+  // binary search. The baselines and the CPU latency model ask on every
+  // dispatch tick, so only the solo latency is evaluated, not the full
+  // lookup.
+  const hw::NodeSpec& spec = catalog_->spec(node);
+  const auto solo_ms = [&](int bs) {
+    return spec.is_gpu() ? gpu_solo_ms(model, *spec.gpu, bs)
+                         : cpu_solo_ms(model, spec.cpu, bs);
+  };
+  int lo = 0;  // the answer lies in [lo, hi]; 0 = nothing fits
+  int hi = model.max_batch;
+  while (lo < hi) {
+    const int mid = lo + (hi - lo + 1) / 2;
+    if (solo_ms(mid) <= budget_ms) {
+      lo = mid;
     } else {
-      break;
+      hi = mid - 1;
     }
   }
-  return best;
+  return lo;
 }
 
 Rps ProfileTable::peak_solo_throughput(const ModelSpec& model, hw::NodeType node) const {

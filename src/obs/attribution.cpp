@@ -57,10 +57,14 @@ void BlackoutWindows::close_all(TimeMs now) {
 }
 
 bool BlackoutWindows::overlaps(TimeMs begin_ms, TimeMs end_ms) const {
-  for (const Window& window : windows_) {
-    if (begin_ms <= window.end_ms && end_ms >= window.begin_ms) return true;
-  }
-  return false;
+  // Windows open in time order and close_all closes the whole open suffix at
+  // once, so begins and ends are both non-decreasing. Of the windows ending
+  // at or after begin_ms, the first one begins earliest: it is the only
+  // candidate.
+  const auto it = std::lower_bound(
+      windows_.begin(), windows_.end(), begin_ms,
+      [](const Window& window, TimeMs t) { return window.end_ms < t; });
+  return it != windows_.end() && end_ms >= it->begin_ms;
 }
 
 AttributionEngine::AttributionEngine(const models::Zoo& zoo) {

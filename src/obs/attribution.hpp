@@ -77,12 +77,14 @@ telemetry::ViolationCause classify_violation(const LifecycleSample& sample);
 /// Switch/outage blackout windows. switch_begin and node_failure open a
 /// window; switch_active closes every open window (service is restored on
 /// the new node). Windows that never close extend to the end of the run.
+/// `now` must not decrease across open/close_all calls (simulation time), so
+/// window begins and ends are both sorted.
 class BlackoutWindows {
  public:
   void open(TimeMs now);
   void close_all(TimeMs now);
   /// Does [begin, end] intersect any window? Open windows count as
-  /// extending to +infinity.
+  /// extending to +infinity. One binary search over the windows.
   bool overlaps(TimeMs begin_ms, TimeMs end_ms) const;
   std::size_t count() const { return windows_.size(); }
 

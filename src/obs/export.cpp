@@ -46,15 +46,17 @@ ExportFormat format_for_path(const std::string& path) {
   return ExportFormat::kJsonl;
 }
 
-bool warn_if_truncated(const RunTrace& trace, const std::string& context) {
-  const std::uint64_t events = trace.dropped_events();
+bool warn_if_truncated(const RunTrace& trace, const std::string& context,
+                       bool reads_events) {
+  const std::uint64_t events = reads_events ? trace.dropped_events() : 0;
   const std::uint64_t decisions = trace.dropped_decisions();
   if (events == 0 && decisions == 0) return false;
   log_warn("trace export '", context, "' is truncated: ", events,
            " events and ", decisions,
            " decision records were dropped (raise TracerConfig capacities); "
-           "the report's calibration, node usage and switch timeline "
-           "undercount (attribution comes from the rollups)");
+           "the trace file, the decision log and the report's calibration, "
+           "node usage and switch timeline undercount (attribution comes "
+           "from the rollups)");
   return true;
 }
 

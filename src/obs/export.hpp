@@ -136,11 +136,14 @@ class AlertWriter {
 std::string derive_trace_path(const std::string& base, const std::string& scenario,
                               const std::string& scheme);
 
-/// One-shot WARN when the trace's ring buffers overflowed: the calibration,
-/// node usage and switch timeline of a report over a truncated trace are
-/// quietly wrong, so truncation must never be silent. Returns true when
-/// drops occurred.
+/// One-shot WARN when the trace's buffers overflowed under an export that
+/// reads them: the calibration, node usage and switch timeline of a report
+/// over a truncated trace are quietly wrong, so truncation must never be
+/// silent. Dropped events count only when `reads_events` (a Chrome trace or
+/// a report is written); dropped decision records always count. Returns
+/// true when it warned.
 /// `context` names the export ("fig13 azure/Paldia", a file path, ...).
-bool warn_if_truncated(const RunTrace& trace, const std::string& context);
+bool warn_if_truncated(const RunTrace& trace, const std::string& context,
+                       bool reads_events);
 
 }  // namespace paldia::obs

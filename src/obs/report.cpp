@@ -282,6 +282,13 @@ bool parse_chrome_trace(const common::JsonValue& root, const std::string& label,
   for (const auto& [pid, slot] : slots) {
     out->reps.resize(std::max(out->reps.size(), static_cast<std::size_t>(slot.rep) + 1));
   }
+  // The suffix is "<run label> rep <n>": the run label the rollup and alert
+  // streams carry too. A trace written without one keeps `label`.
+  if (!slots.empty()) {
+    const std::string& suffix = slots.begin()->second.suffix;
+    const std::size_t at = suffix.rfind(" rep ");
+    if (at != std::string::npos && at > 0) out->label = suffix.substr(0, at);
+  }
 
   // Events within a rep appear in recording order (the exporter writes rep
   // blocks sequentially). Request spans, phases and counters carry nothing
@@ -630,6 +637,54 @@ bool analyze_alert_stream(const std::string& text,
     out->push_back(std::move(acc.report));
   }
   return true;
+}
+
+// --- Merging per-input reports ------------------------------------------------
+
+namespace {
+
+bool has_trace_sections(const AnalysisReport& report) {
+  return report.calibration.intervals_total > 0 ||
+         !report.calibration.per_node.empty() || !report.node_usage.empty() ||
+         !report.switch_timeline.empty();
+}
+
+}  // namespace
+
+std::vector<AnalysisReport> merge_reports_by_label(std::vector<AnalysisReport> runs) {
+  std::vector<AnalysisReport> merged;
+  std::unordered_map<std::string, std::size_t> index;
+  for (AnalysisReport& run : runs) {
+    const auto found = index.find(run.label);
+    AnalysisReport* into = found == index.end() ? nullptr : &merged[found->second];
+    // Two inputs with the same section (two trace files of one label) are
+    // different runs: keep both rather than drop one.
+    if (into == nullptr || (run.has_attribution && into->has_attribution) ||
+        (has_trace_sections(run) && has_trace_sections(*into)) ||
+        (run.health.enabled && into->health.enabled)) {
+      index.emplace(run.label, merged.size());
+      merged.push_back(std::move(run));
+      continue;
+    }
+    into->reps = std::max(into->reps, run.reps);
+    into->dropped_events = std::max(into->dropped_events, run.dropped_events);
+    into->dropped_decisions = std::max(into->dropped_decisions, run.dropped_decisions);
+    if (run.has_attribution) {
+      into->has_attribution = true;
+      into->total = std::move(run.total);
+      into->unserved = run.unserved;
+      into->compliance = run.compliance;
+      into->per_model = std::move(run.per_model);
+      into->per_node = std::move(run.per_node);
+    }
+    if (has_trace_sections(run)) {
+      into->calibration = std::move(run.calibration);
+      into->node_usage = std::move(run.node_usage);
+      into->switch_timeline = std::move(run.switch_timeline);
+    }
+    if (run.health.enabled) into->health = std::move(run.health);
+  }
+  return merged;
 }
 
 // --- Rollup-stream consumer -------------------------------------------------

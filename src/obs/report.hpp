@@ -244,10 +244,12 @@ struct RunData {
 RunData extract_run_data(const RunTrace& trace, const std::string& label);
 
 /// Offline producer of the trace sections: RunData from a parsed
-/// Chrome-trace JSON document (write_chrome_trace output). Node labels and
-/// each repetition's pid block come from the trace's process-name metadata.
-/// A trace carries no rollup cells, so the report has no attribution.
-/// Returns false and sets `error` when the document is not a trace export.
+/// Chrome-trace JSON document (write_chrome_trace output). The run label,
+/// node labels and each repetition's pid block come from the trace's
+/// process-name metadata ("paldia framework (<label> rep <n>)"); `label`
+/// names the run only when the trace was written without one. A trace
+/// carries no rollup cells, so the report has no attribution. Returns false
+/// and sets `error` when the document is not a trace export.
 bool parse_chrome_trace(const common::JsonValue& root, const std::string& label,
                         RunData* out, std::string* error);
 
@@ -289,6 +291,14 @@ bool analyze_alert_stream(const std::string& text,
 bool analyze_rollup_stream(const std::string& text,
                            std::vector<AnalysisReport>* out,
                            std::string* error);
+
+/// Reports that share a label (the same run read from its trace file,
+/// rollup stream and alert stream) merge into the first one, each section
+/// taken from the input that carries it, so paldia-analyze over all three
+/// prints each run once. A report whose sections the earlier one already
+/// has (two trace files with one label) stays a run of its own. Order is
+/// first appearance.
+std::vector<AnalysisReport> merge_reports_by_label(std::vector<AnalysisReport> runs);
 
 /// Human-readable multi-section report (tables + timeline).
 void render_report_text(std::ostream& out, const std::vector<AnalysisReport>& runs);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
+#include "src/hw/catalog_gen.hpp"
 #include "src/models/zoo.hpp"
 
 namespace paldia::models {
@@ -113,6 +118,49 @@ TEST(ProfileTable, MaxBatchZeroWhenNothingFits) {
   ProfileTable table;
   const auto& bert = Zoo::instance().spec(ModelId::kBert);
   EXPECT_EQ(table.max_batch_within(bert, hw::NodeType::kM4_xlarge, 200.0), 0);
+}
+
+// max_batch_within is a binary search; the reference is the plain scan it
+// replaced: the longest prefix of batch sizes whose solo latency fits.
+// Budgets cover every exact solo(bs) value and its neighbouring doubles,
+// budgets below solo(1) and above solo(max_batch), for every model on every
+// node of the catalog.
+void ExpectMaxBatchMatchesLinearScan(const hw::Catalog& catalog) {
+  const ProfileTable table(catalog);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t n = 0; n < catalog.size(); ++n) {
+    const auto node = static_cast<hw::NodeType>(n);
+    for (int m = 0; m < kModelCount; ++m) {
+      const ModelSpec& model = Zoo::instance().spec(ModelId(m));
+      std::vector<double> solo;  // solo[bs - 1]
+      for (int bs = 1; bs <= model.max_batch; ++bs) {
+        solo.push_back(table.lookup(model, node, bs).solo_ms);
+      }
+      std::vector<double> budgets = {-1.0, 0.0, solo.front() / 2.0, solo.back() * 2.0,
+                                     inf};
+      for (const double value : solo) {
+        budgets.push_back(value);
+        budgets.push_back(std::nextafter(value, -inf));
+        budgets.push_back(std::nextafter(value, inf));
+      }
+      for (const double budget : budgets) {
+        int linear = 0;
+        while (linear < model.max_batch && solo[linear] <= budget) ++linear;
+        ASSERT_EQ(table.max_batch_within(model, node, budget), linear)
+            << model.name << " on " << catalog.name(node) << ", budget " << budget;
+      }
+    }
+  }
+}
+
+TEST(ProfileTable, MaxBatchWithinMatchesLinearScanTableII) {
+  ExpectMaxBatchMatchesLinearScan(hw::Catalog::instance());
+}
+
+TEST(ProfileTable, MaxBatchWithinMatchesLinearScanGeneratedCatalog) {
+  const auto config = hw::parse_catalog_spec("gen:256");
+  ASSERT_TRUE(config.has_value());
+  ExpectMaxBatchMatchesLinearScan(hw::generate_catalog(*config));
 }
 
 TEST(ProfileTable, BatchExecutionLatencyInPaperBand) {

@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "src/models/zoo.hpp"
 #include "src/obs/sketch.hpp"
@@ -117,6 +121,59 @@ TEST(BlackoutWindows, CloseAllClosesEveryOpenWindow) {
   windows.open(500.0);
   EXPECT_TRUE(windows.overlaps(600.0, 601.0));
   EXPECT_FALSE(windows.overlaps(300.0, 400.0));
+}
+
+// overlaps() is one binary search; the reference checks every window.
+// Random sequences of switch_begin / node_failure opens and switch_active
+// closes, with zero time steps (zero-length windows), failures opened inside
+// open switch windows, and windows still open at the end.
+TEST(BlackoutWindows, OverlapsMatchesBruteForceOnRandomSequences) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::mt19937 rng(11);
+  std::uniform_int_distribution<int> step(0, 3);  // 0 = no time passes
+  std::uniform_int_distribution<int> action(0, 2);
+  std::uniform_real_distribution<double> query(-5.0, 400.0);
+  for (int sequence = 0; sequence < 100; ++sequence) {
+    BlackoutWindows windows;
+    std::vector<std::pair<double, double>> reference;  // [begin, end]
+    const auto brute_force = [&](double begin, double end) {
+      for (const auto& [window_begin, window_end] : reference) {
+        if (begin <= window_end && end >= window_begin) return true;
+      }
+      return false;
+    };
+    double now = 0.0;
+    for (int op = 0; op < 40; ++op) {
+      now += 10.0 * step(rng);
+      if (action(rng) < 2) {
+        windows.open(now);
+        reference.emplace_back(now, inf);
+      } else {
+        windows.close_all(now);
+        for (auto& window : reference) {
+          if (window.second == inf) window.second = now;
+        }
+      }
+      ASSERT_EQ(windows.count(), reference.size());
+      std::vector<double> points = {now, now + 1.0, -1.0, inf};
+      for (const auto& [window_begin, window_end] : reference) {
+        points.push_back(window_begin);
+        points.push_back(window_end);
+        points.push_back(window_begin - 0.5);
+        points.push_back(window_end + 0.5);
+      }
+      for (int i = 0; i < 8; ++i) points.push_back(query(rng));
+      std::uniform_int_distribution<std::size_t> pick(0, points.size() - 1);
+      for (const double begin : points) {
+        for (const double end : {begin, points[pick(rng)], points[pick(rng)],
+                                 points[pick(rng)]}) {
+          ASSERT_EQ(windows.overlaps(begin, end), brute_force(begin, end))
+              << "sequence " << sequence << ", op " << op << ", [" << begin << ", "
+              << end << "]";
+        }
+      }
+    }
+  }
 }
 
 TEST(AttributionEngine, CauseCountsSumToViolationTotal) {

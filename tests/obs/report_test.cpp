@@ -3,7 +3,8 @@
 // parity (extract_run_data over a RunTrace against parse_chrome_trace over
 // its serialized form), the attribution fold's parity (the inline report
 // against analyze_rollup_stream over the RollupWriter stream, at any sample
-// rate), analyze()'s cause-sum / unserved accounting and the text renderer.
+// rate), the per-label merge of trace and rollup reports, analyze()'s
+// cause-sum / unserved accounting and the text renderer.
 #include "src/obs/report.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/common/json.hpp"
 #include "src/models/zoo.hpp"
@@ -242,6 +244,58 @@ TEST(Report, OfflineTraceParseReproducesInlineTraceSections) {
   const std::string sections = test::trace_sections_json(inline_report);
   EXPECT_NE(sections.find("switch_begin"), std::string::npos);
   EXPECT_EQ(sections, test::trace_sections_json(offline_report));
+}
+
+TEST(Report, OfflineTraceRunTakesItsLabelFromTheTrace) {
+  const RunTrace trace = make_trace();
+  const auto parse = [&](const std::string& written) {
+    std::ostringstream serialized;
+    write_chrome_trace(serialized, trace, written);
+    const auto parsed = common::parse_json(serialized.str());
+    EXPECT_TRUE(parsed.ok) << parsed.error;
+    RunData offline;
+    std::string error;
+    EXPECT_TRUE(parse_chrome_trace(parsed.value, "fig04.azure_Paldia", &offline,
+                                   &error))
+        << error;
+    return offline.label;
+  };
+  EXPECT_EQ(parse("azure / Paldia"), "azure / Paldia");
+  // A trace written without a run label falls back to the caller's name.
+  EXPECT_EQ(parse(""), "fig04.azure_Paldia");
+}
+
+TEST(Report, MergedTraceAndRollupRunsReproduceTheInlineReport) {
+  // paldia-analyze over a trace file and a rollup stream of the same run
+  // prints that run once, with every section of the inline report.
+  const RunTrace trace = make_trace();
+  const std::string label = "azure / Paldia";
+  std::ostringstream serialized;
+  write_chrome_trace(serialized, trace, label);
+  const auto parsed = common::parse_json(serialized.str());
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  RunData offline;
+  std::string error;
+  ASSERT_TRUE(parse_chrome_trace(parsed.value, "trace.azure_Paldia", &offline, &error))
+      << error;
+
+  std::vector<AnalysisReport> runs;
+  runs.push_back(analyze_with_zoo(offline));
+  runs.push_back(rollup_report(trace, label));
+  runs.push_back(rollup_report(trace, "another run"));
+  // A second trace of the same label is another run, not a duplicate.
+  runs.push_back(analyze_with_zoo(offline));
+  const std::vector<AnalysisReport> merged = merge_reports_by_label(std::move(runs));
+  ASSERT_EQ(merged.size(), 3u);
+  EXPECT_EQ(merged[1].label, "another run");
+  EXPECT_EQ(merged[2].label, label);
+  EXPECT_FALSE(merged[2].has_attribution);
+
+  std::ostringstream inline_json;
+  std::ostringstream merged_json;
+  write_report_json(inline_json, {analyze_with_zoo(extract_run_data(trace, label))});
+  write_report_json(merged_json, {merged[0]});
+  EXPECT_EQ(merged_json.str(), inline_json.str());
 }
 
 TEST(Report, OfflineRollupReproducesInlineAttributionBytes) {

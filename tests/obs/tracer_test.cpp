@@ -1,12 +1,16 @@
 // Unit tests for the per-repetition Tracer: span balance and nesting, the
 // all-or-nothing lifecycle reservation against the ring cap, the counter
-// registry's deterministic sampling order, and the decision-log cap.
+// registry's deterministic sampling order, the decision-log cap, and when
+// the exports warn that the buffers overflowed.
 #include "src/obs/tracer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
+
+#include "src/common/log.hpp"
+#include "src/obs/export.hpp"
 
 namespace paldia::obs {
 namespace {
@@ -289,6 +293,35 @@ TEST(TracerTest, RunTraceAggregatesDrops) {
   EXPECT_EQ(trace.dropped_events(), 4u);
   EXPECT_EQ(trace.reps[0]->events().size(), 4u);
   EXPECT_EQ(trace.reps[1]->events().size(), 4u);
+}
+
+int g_warnings = 0;
+void count_warning(const std::string& /*line*/) { ++g_warnings; }
+
+TEST(TracerTest, TruncationWarnsOnlyWhenAnExportReadsTheDroppedRecords) {
+  RunTrace trace;
+  trace.config.event_capacity = 4;
+  trace.config.decision_capacity = 1;
+  trace.reps.push_back(std::make_unique<Tracer>(trace.config));
+  record_one_lifecycle(*trace.reps[0], 1, 0.0);
+  record_one_lifecycle(*trace.reps[0], 2, 100.0);  // dropped: buffer full
+  ASSERT_GT(trace.dropped_events(), 0u);
+  ASSERT_EQ(trace.dropped_decisions(), 0u);
+
+  g_warnings = 0;
+  const LogSink previous = set_log_sink(&count_warning);
+  // A decision-log-only run never reads the event buffer.
+  EXPECT_FALSE(warn_if_truncated(trace, "decisions only", /*reads_events=*/false));
+  // --trace-out / --report-out do.
+  EXPECT_TRUE(warn_if_truncated(trace, "trace", /*reads_events=*/true));
+  // Dropped decision records truncate the decision log itself.
+  trace.reps[0]->begin_decision(0.0, hw::NodeType::kP3_2xlarge);
+  trace.reps[0]->end_decision(hw::NodeType::kP3_2xlarge, false);
+  trace.reps[0]->begin_decision(1.0, hw::NodeType::kP3_2xlarge);  // dropped
+  ASSERT_EQ(trace.dropped_decisions(), 1u);
+  EXPECT_TRUE(warn_if_truncated(trace, "decisions only", /*reads_events=*/false));
+  set_log_sink(previous);
+  EXPECT_EQ(g_warnings, 2);
 }
 
 }  // namespace

@@ -14,6 +14,10 @@
 //   - an alert stream (--alerts, from --alerts-out) gives the "health"
 //     section: incident timeline, MTTD, false-positive rate.
 //
+// Every input names its runs by the driver's run label ("azure / Paldia";
+// a trace file carries it in its process names). Reports of one run from
+// several inputs merge into one report with all of their sections.
+//
 // Options:
 //   --rollup PATH       attribution from a rollup JSONL stream
 //   --alerts PATH       rebuild health reports from an alert JSONL stream
@@ -52,7 +56,8 @@ bool read_file(const std::string& path, std::string* out, std::string* error) {
   return true;
 }
 
-/// "artifacts/fig13.azure_Paldia.json" -> "fig13.azure_Paldia"
+/// "artifacts/fig13.azure_Paldia.json" -> "fig13.azure_Paldia": the run
+/// label of a trace written without one.
 std::string label_for_path(const std::string& path) {
   const auto slash = path.find_last_of('/');
   std::string name = slash == std::string::npos ? path : path.substr(slash + 1);
@@ -292,6 +297,8 @@ int main(int argc, char** argv) {
       reports.push_back(std::move(report));
     }
   }
+
+  reports = paldia::obs::merge_reports_by_label(std::move(reports));
 
   if (!quiet) {
     if (json_stdout) {
